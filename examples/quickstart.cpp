@@ -87,15 +87,17 @@ int main() {
   const MatrixF served = engine.run(0, b);
   const auto batch_out = engine.run_batch(0, std::vector<MatrixF>{b, b});
   // run() must be bit-exact to the direct series multiply under the
-  // artifact's resolved kernel selection ("auto" binds the AVX2 kernels
-  // when the CPU supports them, the scalar tiled kernels otherwise).
-  const bool run_exact = served == series.multiply(b, engine.policy());
+  // layer's resolved kernel binding ("auto" binds per layer width: the
+  // decode-width GEMV kernels for these 3 positions on AVX-512 hosts,
+  // else the widest SIMD kernels the CPU supports, scalar last).
+  const bool run_exact =
+      served == series.multiply(b, engine.layer_policy(0));
   const bool batch_exact = batch_out[0] == served && batch_out[1] == served;
   std::cout << "\ncompiled artifact: " << engine.layer_count() << " layer, "
             << engine.plan_bytes() << " plan bytes resident ("
             << engine.artifact_bytes() << " with weights); kernels: "
-            << engine.options().dense_kernel << " / "
-            << engine.options().nm_kernel << "; run() == "
+            << engine.layer(0).kernel << " / "
+            << engine.layer(0).batch_kernel << "; run() == "
             << "direct series multiply: "
             << (run_exact ? "bit-exact" : "MISMATCH")
             << ", run_batch() == run(): "

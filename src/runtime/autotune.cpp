@@ -38,6 +38,11 @@ const TuneCandidate& winner(const std::vector<TuneCandidate>& table) {
 
 void set_autotune_timer(TuneTimer hook) { timer_hook() = std::move(hook); }
 
+bool autotune_candidate(const std::string& kernel) {
+  return kernel != "serial" && kernel != "tiled-serial" &&
+         kernel != "reference" && kernel != "batch-loop";
+}
+
 const LayerTuning* TuningResult::find(const std::string& layer) const {
   for (const auto& l : layers)
     if (l.layer == layer) return &l;
@@ -101,10 +106,12 @@ TuningResult run_autotune(CompiledNetwork& net) {
 
     for (const auto& name :
          lt.nm ? dispatch.nm_kernels() : dispatch.dense_kernels())
-      lt.single.push_back({name, time_single(name)});
+      if (autotune_candidate(name))
+        lt.single.push_back({name, time_single(name)});
     for (const auto& name : lt.nm ? dispatch.nm_batch_kernels()
                                   : dispatch.dense_batch_kernels())
-      lt.batch.push_back({name, time_batch(name)});
+      if (autotune_candidate(name))
+        lt.batch.push_back({name, time_batch(name)});
 
     lt.chosen_single = winner(lt.single).kernel;
     lt.chosen_batch = winner(lt.batch).kernel;

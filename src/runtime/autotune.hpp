@@ -7,9 +7,9 @@
 // bit-exactness contracts are what make the candidates interchangeable.
 //
 // When CompileOptions::kernel_policy == KernelPolicy::kAutotune,
-// assemble_network micro-benches every registered candidate of each
-// layer's slot pair (single-RHS at the measured width, batch at the
-// batch hint) on the compiling host — min-of-N with an untimed warmup
+// assemble_network micro-benches every candidate (autotune_candidate())
+// of each layer's slot pair (single-RHS at the measured width, batch at
+// the batch hint) on the compiling host — min-of-N with an untimed warmup
 // via time_ms_min — binds the per-layer winner, and records the full
 // TuningResult (candidate tables, timings, chosen names, host CPU
 // signature) on the CompiledNetwork. save_artifact serializes the
@@ -63,6 +63,13 @@ struct TuningResult {
   /// The record for `layer`, or nullptr.
   [[nodiscard]] const LayerTuning* find(const std::string& layer) const;
 };
+
+/// Whether autotune times `kernel`: every registered name except the
+/// single-threaded and oracle kernels ("serial", "tiled-serial",
+/// "reference", "batch-loop"). Those stay registered for tests and
+/// explicit pins, but a one-thread scalar kernel can only win a timing
+/// on noise.
+bool autotune_candidate(const std::string& kernel);
 
 /// What one timer invocation measured — handed to the override hook so a
 /// fake timer can key its answer on everything the real one depends on.

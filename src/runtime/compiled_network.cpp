@@ -298,13 +298,16 @@ CompiledNetwork assemble_network(std::string name,
   TASD_CHECK_MSG(opt.n_divisor >= 1, "n_divisor must be >= 1");
   TASD_CHECK_MSG(opt.query_cols >= 1, "query_cols must be >= 1");
   // Kernel binding happens now, not at first execution: "auto" resolves
-  // to the registry's best kernel (AVX2 when available, scalar
-  // otherwise), and every selected name is looked up so a misspelled or
-  // unregistered name fails at compile time with the registry's
-  // descriptive error. The artifact stores the *resolved* names: its
-  // kernel binding never changes after compile, even if the registry
-  // gains kernels later. (This is also why a serialized artifact stores
-  // no kernel names: a load re-enters this resolution on its own host.)
+  // through the registry's best_*() chain — network-wide at unknown
+  // width for options(), per layer at the layer's positions (the
+  // decode-width GEMV family for 1..kGemvMaxWidth, else the widest SIMD
+  // family, scalar last) — and every selected name is looked up so a
+  // misspelled or unregistered name fails at compile time with the
+  // registry's descriptive error. The artifact stores the *resolved*
+  // names: its kernel binding never changes after compile, even if the
+  // registry gains kernels later. (This is also why a serialized
+  // artifact stores no kernel names: a load re-enters this resolution on
+  // its own host, with the serialized positions.)
   const auto& dispatch = GemmDispatch::instance();
   CompiledNetwork cn;
   cn.name_ = std::move(name);
@@ -357,11 +360,21 @@ CompiledNetwork assemble_network(std::string name,
       l.kept_nnz_fraction = static_cast<double>(l.series->nnz()) /
                             static_cast<double>(l.weight.size());
     }
-    // Per-layer binding starts at the network-wide resolution; the
-    // tuning paths below rebind it per layer.
-    l.kernel = l.series ? cn.opt_.nm_kernel : cn.opt_.dense_kernel;
-    l.batch_kernel =
-        l.series ? cn.opt_.nm_batch_kernel : cn.opt_.dense_batch_kernel;
+    // Per-layer binding: explicit names as resolved above, "auto" at
+    // this layer's width; the tuning paths below may rebind it.
+    if (l.series) {
+      l.kernel = opt.nm_kernel == "auto" ? dispatch.best_nm(l.n)
+                                         : cn.opt_.nm_kernel;
+      l.batch_kernel = opt.nm_batch_kernel == "auto"
+                           ? dispatch.best_nm_batch(l.n)
+                           : cn.opt_.nm_batch_kernel;
+    } else {
+      l.kernel = opt.dense_kernel == "auto" ? dispatch.best_dense(l.n)
+                                            : cn.opt_.dense_kernel;
+      l.batch_kernel = opt.dense_batch_kernel == "auto"
+                           ? dispatch.best_dense_batch(l.n)
+                           : cn.opt_.dense_batch_kernel;
+    }
     cn.layers_.push_back(std::move(l));
   }
   // Binding priority: a restored tuning that transfers to this host

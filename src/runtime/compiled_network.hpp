@@ -17,9 +17,10 @@
 //  * Bit-exactness — run()/run_batch() are the same kernels the free
 //    execution paths use (TasdSeriesGemm::multiply / multiply_batch,
 //    dense_gemm / dense_gemm_batch), so outputs are bit-identical to those
-//    paths under the artifact's resolved policy() at every thread count.
-//    Kernel *selection* ("auto" → AVX2 vs scalar) picks a rounding family
-//    (see docs/kernels.md); within a family results never vary.
+//    paths under the layer's resolved layer_policy() at every thread
+//    count. Kernel *selection* ("auto" → GEMV / AVX-512 / AVX2 / scalar
+//    by layer width and host) picks a rounding family (see
+//    docs/kernels.md); within a family results never vary.
 //  * Plan prewarm — compile() performs at most one decomposition per
 //    configured layer (zero when the PlanCache already holds the plan);
 //    executing the artifact performs zero additional decompositions.
@@ -149,10 +150,11 @@ struct CompileOptions {
   /// serving, the latency-bound case batching amortizes).
   Index query_cols = 1;
   /// Kernel selection by registry name. "auto" (the default) resolves at
-  /// compile() time through GemmDispatch::best_*() — the AVX2/FMA kernel
-  /// when runtime detection registered it, the scalar tiled kernel
-  /// otherwise — and the artifact's policy() reports the resolved name.
-  /// Empty = the GemmDispatch registry defaults (always scalar).
+  /// compile() time through GemmDispatch::best_*(): per layer at its
+  /// positions (the decode-width GEMV family for 1..kGemvMaxWidth, else
+  /// the widest SIMD family, scalar last), and network-wide at unknown
+  /// width for the name policy() reports. Empty = the GemmDispatch
+  /// registry defaults (always scalar).
   std::string dense_kernel = "auto";
   std::string nm_kernel = "auto";
   std::string dense_batch_kernel = "auto";
@@ -193,9 +195,10 @@ struct PreboundLayer {
 /// layer carrying a plan binds it directly — zero decompositions — and
 /// a configured layer without one decomposes exactly as compile() does.
 /// Kernel names resolve through GemmDispatch at assembly time ("auto" →
-/// best_*()), so a deserialized network re-binds the fastest kernels
-/// registered on the *loading* host. This is the single constructor
-/// path behind both rt::compile() and rt::load_artifact().
+/// best_*() at each layer's positions), so a deserialized network
+/// re-binds the fastest kernels registered on the *loading* host. This
+/// is the single constructor path behind both rt::compile() and
+/// rt::load_artifact().
 ///
 /// `restored` is the load path's deserialized TuningResult: when it
 /// transfers to this host (signature match, kernels registered —
@@ -228,8 +231,9 @@ class CompiledNetwork {
     double kept_nnz_fraction = 0.0;  ///< stored values / total positions
     /// Per-layer kernel binding run()/run_batch() execute through: N:M
     /// slot names when `series` is bound, dense slot names otherwise.
-    /// Initialized to the network-wide resolved names; kAutotune and a
-    /// restored artifact tuning rebind them per layer.
+    /// Initialized to the explicit names, or "auto" resolved at this
+    /// layer's width; kAutotune and a restored artifact tuning rebind
+    /// them per layer.
     std::string kernel;
     std::string batch_kernel;
   };

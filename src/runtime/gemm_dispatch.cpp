@@ -393,38 +393,49 @@ std::string GemmDispatch::default_nm_batch() const {
   return impl_->default_nm_batch;
 }
 
-// The static fallback chain: widest registered SIMD family first
-// (avx512 > avx2), the scalar registry default last. Per-layer
-// autotuning (runtime/autotune.hpp) refines this by measurement; these
-// remain the kStatic binding and the tuning fallback on a host-signature
-// mismatch.
-std::string GemmDispatch::best_dense() const {
-  MutexLock lock(impl_->mutex);
-  if (impl_->dense.contains("dense-avx512")) return "dense-avx512";
-  if (impl_->dense.contains("dense-avx2")) return "dense-avx2";
-  return impl_->default_dense;
+namespace {
+
+/// The static chain of one slot: the decode-width GEMV kernel for
+/// widths 1..kGemvMaxWidth, then the widest registered SIMD family
+/// (avx512 > avx2), the scalar registry default last.
+template <class Slot>
+std::string best_in(const Slot& slot, Index width, const char* gemv,
+                    const char* avx512, const char* avx2,
+                    const std::string& fallback) {
+  if (width >= 1 && width <= kGemvMaxWidth && slot.contains(gemv)) return gemv;
+  if (slot.contains(avx512)) return avx512;
+  if (slot.contains(avx2)) return avx2;
+  return fallback;
 }
 
-std::string GemmDispatch::best_nm() const {
+}  // namespace
+
+// Per-layer autotuning (runtime/autotune.hpp) refines these by
+// measurement; they remain the kStatic binding and the tuning fallback
+// on a host-signature mismatch.
+std::string GemmDispatch::best_dense(Index width) const {
   MutexLock lock(impl_->mutex);
-  if (impl_->nm.contains("nm-avx512")) return "nm-avx512";
-  if (impl_->nm.contains("nm-avx2")) return "nm-avx2";
-  return impl_->default_nm;
+  return best_in(impl_->dense, width, "dense-gemv-avx512", "dense-avx512",
+                 "dense-avx2", impl_->default_dense);
 }
 
-std::string GemmDispatch::best_dense_batch() const {
+std::string GemmDispatch::best_nm(Index width) const {
   MutexLock lock(impl_->mutex);
-  if (impl_->dense_batch.contains("dense-batch-avx512"))
-    return "dense-batch-avx512";
-  if (impl_->dense_batch.contains("dense-batch-avx2")) return "dense-batch-avx2";
-  return impl_->default_dense_batch;
+  return best_in(impl_->nm, width, "nm-gemv-avx512", "nm-avx512", "nm-avx2",
+                 impl_->default_nm);
 }
 
-std::string GemmDispatch::best_nm_batch() const {
+std::string GemmDispatch::best_dense_batch(Index width) const {
   MutexLock lock(impl_->mutex);
-  if (impl_->nm_batch.contains("nm-batch-avx512")) return "nm-batch-avx512";
-  if (impl_->nm_batch.contains("nm-batch-avx2")) return "nm-batch-avx2";
-  return impl_->default_nm_batch;
+  return best_in(impl_->dense_batch, width, "dense-batch-gemv-avx512",
+                 "dense-batch-avx512", "dense-batch-avx2",
+                 impl_->default_dense_batch);
+}
+
+std::string GemmDispatch::best_nm_batch(Index width) const {
+  MutexLock lock(impl_->mutex);
+  return best_in(impl_->nm_batch, width, "nm-batch-gemv-avx512",
+                 "nm-batch-avx512", "nm-batch-avx2", impl_->default_nm_batch);
 }
 
 DenseKernel GemmDispatch::dense(const std::string& name) const {

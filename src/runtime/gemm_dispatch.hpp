@@ -27,21 +27,24 @@
 // ZMM/opmask state, TASD_DISABLE_AVX512 unset; runtime/kernels_avx512.hpp):
 //   "dense-avx512"        "nm-avx512"
 //   "dense-batch-avx512"  "nm-batch-avx512"
+// and the decode-width GEMV family, vectorized along k instead of n:
+//   "dense-gemv-avx512"        "nm-gemv-avx512"
+//   "dense-batch-gemv-avx512"  "nm-batch-gemv-avx512"
 //
 // Every kernel partitions work by output row (batch kernels also by
 // batch column) with no shared float accumulation, so all of them
 // produce bit-identical results at every thread count. Batch kernels
 // additionally preserve each output element's MAC order exactly as the
 // single-RHS kernels of the same family execute it, so a batched call is
-// bit-identical to looping that single-RHS kernel over the batch. The
-// scalar (mul+add) and FMA (AVX2 + AVX-512, one fused multiply-add per
-// step) families round differently and agree to float tolerance, not
-// bitwise; within the FMA family the two vector widths are bit-identical
-// to each other. best_dense() / best_nm() / best_*_batch() name the
-// statically-preferred registered kernel of each slot (avx512 > avx2 >
-// scalar) so callers can auto-select per artifact (CompileOptions
-// "auto"); per-layer autotuning (runtime/autotune.hpp) refines that
-// choice by measurement.
+// bit-identical to looping that single-RHS kernel over the batch. Three
+// rounding families agree to float tolerance, not bitwise: scalar
+// (mul+add), FMA (AVX2 + AVX-512, one fused multiply-add per step; the
+// two vector widths are bit-identical to each other) and GEMV (16 fused
+// partial sums per output, then a fixed tree). best_dense() / best_nm()
+// / best_*_batch() name the statically-preferred registered kernel of
+// each slot for a layer's width (GEMV at widths 1..8, then avx512 > avx2
+// > scalar) so "auto" binds per layer (CompileOptions); per-layer
+// autotuning (runtime/autotune.hpp) refines that choice by measurement.
 #pragma once
 
 #include <functional>
@@ -65,6 +68,10 @@ struct ExecPolicy {
   std::string dense_batch_kernel;
   std::string nm_batch_kernel;
 };
+
+/// Widest right-hand side (a layer's positions) "auto" binds to the
+/// decode-width GEMV family.
+inline constexpr Index kGemvMaxWidth = 8;
 
 /// Resolve the pool an ExecPolicy designates.
 ThreadPool& resolve_pool(const ExecPolicy& policy);
@@ -118,14 +125,16 @@ class GemmDispatch {
   [[nodiscard]] std::string default_dense_batch() const;
   [[nodiscard]] std::string default_nm_batch() const;
 
-  /// Auto-selection policy: the fastest registered kernel for each slot —
-  /// the AVX2 kernel when runtime detection registered it, the (scalar)
-  /// registry default otherwise. CompileOptions' "auto" kernel names
-  /// resolve through these at rt::compile() time.
-  [[nodiscard]] std::string best_dense() const;
-  [[nodiscard]] std::string best_nm() const;
-  [[nodiscard]] std::string best_dense_batch() const;
-  [[nodiscard]] std::string best_nm_batch() const;
+  /// Auto-selection policy, by the layer's right-hand-side width
+  /// (its positions; 0 = unknown): for widths 1..kGemvMaxWidth the
+  /// decode-width GEMV kernel when registered, otherwise the widest
+  /// registered SIMD kernel (avx512 > avx2), the scalar registry default
+  /// last. CompileOptions' "auto" names resolve per layer through these
+  /// at rt::compile() / load_artifact() time.
+  [[nodiscard]] std::string best_dense(Index width = 0) const;
+  [[nodiscard]] std::string best_nm(Index width = 0) const;
+  [[nodiscard]] std::string best_dense_batch(Index width = 0) const;
+  [[nodiscard]] std::string best_nm_batch(Index width = 0) const;
 
   /// Look up a kernel ("" = the default). Throws tasd::Error on unknown
   /// names.

@@ -19,15 +19,19 @@
 // L1-hot for every row after the first) and row pairs take 128-column
 // register blocks, because the compressed traversal is bound by loads
 // and per-stored-value overhead (broadcast + index fetch), not FMA
-// throughput. On narrow serving shapes (GEMV, width ≤ 8) almost
-// everything runs through the masked tail, which is why the autotuner —
-// not a static "widest wins" rule — picks between avx512/avx2/scalar
-// per layer.
+// throughput. On narrow shapes (GEMV, width ≤ 8) almost everything
+// would run through the masked tail, so "auto" binds those layers to the
+// k-vectorized GEMV family at the end of this file instead (its own
+// rounding family: 16 partial sums per output, then a fixed tree).
 #include "runtime/kernels_avx512.hpp"
 
 #include <immintrin.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <type_traits>
+#include <vector>
 
 namespace tasd::rt {
 
@@ -145,9 +149,9 @@ void nm_rows_block_avx512(const sparse::NMSparseMatrix& a, const float* bd,
       _mm512_storeu_ps(cd + (r0 + r) * n + j + 16 * v, acc[r][v]);
 }
 
-/// Masked sub-vector column tail of the same row-group traversal (the
-/// batch-1 GEMV serving case runs entirely through here, where the
-/// shared B column makes the group's L1 reuse total).
+/// Masked sub-vector column tail of the same row-group traversal (a
+/// width < 16 call runs entirely through here, where the shared B
+/// columns make the group's L1 reuse total).
 template <int kRows>
 void nm_rows_tail_avx512(const sparse::NMSparseMatrix& a, const float* bd,
                          float* __restrict cd, Index r0, Index n, Index j,
@@ -288,6 +292,339 @@ void nm_batch_avx512(const sparse::NMSparseMatrix& a,
                    });
 }
 
+// ---------------------------------------------- decode-width GEMV family
+// k-vectorized: every output element (row r, column j) owns 16 partial
+// sums. Each 16-lane step adds one product per lane with a fused
+// multiply-add, a fixed tree reduces the 16 lanes, and the total is
+// added to C once. Which lane a product lands in depends only on the
+// weight's layout (dense: k mod 16; N:M: the stored value's slot in its
+// window), never on the column group, the row range or the thread
+// count, so batched == looped and every thread count agree bitwise.
+
+/// Columns one pass over a weight row serves (the register budget).
+constexpr int kGemvMaxGroup = 8;
+
+/// Row-chunk work floor, in dense 16-lane steps times columns: a smaller
+/// chunk would cost less than the pool's fork/join, so small decode
+/// GEMVs stay on the calling thread.
+constexpr Index kGemvChunkSteps = Index{1} << 15;
+
+/// Cost of one N:M window (decode + select + FMA) in dense steps, as
+/// measured on 512x512 2:4 GEMVs (AVX-512 Xeon): the grain then sizes by
+/// stored-value slots rather than by rows.
+constexpr Index kWindowSteps = 4;
+
+/// The right-hand sides of one call, transposed so each column is
+/// contiguous along k (zero padded past k, so windowed x loads never
+/// leave the buffer), with each column's C element (0, j) and row stride.
+struct GemvColumns {
+  Index kpad = 0;
+  std::vector<float> x;
+  std::vector<float*> out;
+  std::vector<Index> stride;
+
+  GemvColumns(Index k, std::span<const MatrixF> bs, std::span<MatrixF> cs)
+      : kpad((k + 15) / 16 * 16 + 32) {
+    const Index cols = batch_offsets(bs).back();
+    out.reserve(cols);
+    stride.reserve(cols);
+    for (std::size_t i = 0; i < bs.size(); ++i)
+      for (Index j = 0; j < bs[i].cols(); ++j) {
+        out.push_back(cs[i].data() + j);
+        stride.push_back(cs[i].cols());
+      }
+    x.assign(out.size() * kpad, 0.0F);
+    float* col = x.data();
+    for (const MatrixF& b : bs) {
+      for (Index j = 0; j < b.cols(); ++j, col += kpad)
+        for (Index p = 0; p < k; ++p) col[p] = b(p, j);
+    }
+  }
+
+  [[nodiscard]] Index cols() const { return out.size(); }
+  [[nodiscard]] const float* column(Index j) const {
+    return x.data() + j * kpad;
+  }
+  float& at(Index r, Index j) const { return out[j][r * stride[j]]; }
+};
+
+/// The fixed reduction tree: 16 -> 8 -> 4 -> 2 -> 1 lanes. (Zero-masked
+/// shuffles throughout: GCC 12 flags the unmasked forms' undefined
+/// pass-through operand under -Wuninitialized.)
+inline float tree_sum(__m512 v) {
+  v = _mm512_add_ps(v, _mm512_maskz_shuffle_f32x4(0xFFFF, v, v, 0x4E));
+  v = _mm512_add_ps(v, _mm512_maskz_shuffle_f32x4(0xFFFF, v, v, 0xB1));
+  v = _mm512_add_ps(v, _mm512_maskz_permute_ps(0xFFFF, v, 0x4E));
+  v = _mm512_add_ps(v, _mm512_maskz_permute_ps(0xFFFF, v, 0xB1));
+  return _mm512_cvtss_f32(v);
+}
+
+/// Zero-extend the 16 bytes at `p` to 16 i32 lanes, reading only the
+/// first `count` when fewer than 16 remain in the array.
+inline __m512i load_index_bytes(const std::uint8_t* p, Index count) {
+  if (count >= 16)
+    return _mm512_maskz_cvtepu8_epi32(
+        0xFFFF, _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  const __m512i bytes =
+      _mm512_maskz_loadu_epi8((std::uint64_t{1} << count) - 1, p);
+  return _mm512_maskz_cvtepu8_epi32(
+      0xFFFF, _mm512_maskz_extracti32x4_epi32(0xF, bytes, 0));
+}
+
+/// Call f(j, group) over [0, cols) in groups of kMax (4 or 8) columns,
+/// then the 4/2/1 remainder; `group` is a std::integral_constant<int, G>.
+template <int kMax, class F>
+void for_column_groups(Index cols, F&& f) {
+  static_assert(kMax == 4 || kMax == kGemvMaxGroup);
+  Index j = 0;
+  for (; j + kMax <= cols; j += kMax)
+    f(j, std::integral_constant<int, kMax>{});
+  if (kMax == 8 && j + 4 <= cols) {
+    f(j, std::integral_constant<int, 4>{});
+    j += 4;
+  }
+  if (j + 2 <= cols) {
+    f(j, std::integral_constant<int, 2>{});
+    j += 2;
+  }
+  if (j < cols) f(j, std::integral_constant<int, 1>{});
+}
+
+/// Partition [0, rows) over the pool with chunks of at least
+/// kGemvChunkSteps steps (`row_steps` 16-lane steps per row and column).
+void gemv_rows_parallel(ThreadPool& pool, Index rows, Index row_steps,
+                        Index cols,
+                        const std::function<void(Index, Index)>& body) {
+  const Index per_row = std::max<Index>(1, row_steps * cols);
+  const Index grain = std::max<Index>(1, kGemvChunkSteps / per_row);
+  pool.parallel_for(0, rows, grain, body);
+}
+
+/// Dense GEMV core: kRows consecutive rows x kCols columns, one 16-lane
+/// accumulator each.
+template <int kRows, int kCols>
+void dense_gemv_block(const MatrixF& a, Index r0, const GemvColumns& xc,
+                      Index j0) {
+  const Index k = a.cols();
+  const float* x[kCols];
+  for (int c = 0; c < kCols; ++c) x[c] = xc.column(j0 + c);
+  const float* w[kRows];
+  for (int r = 0; r < kRows; ++r) w[r] = a.data() + (r0 + r) * k;
+  __m512 acc[kRows][kCols];
+  for (int r = 0; r < kRows; ++r)
+    for (int c = 0; c < kCols; ++c) acc[r][c] = _mm512_setzero_ps();
+  Index p = 0;
+  for (; p + 16 <= k; p += 16) {
+    __m512 xv[kCols];
+    for (int c = 0; c < kCols; ++c) xv[c] = _mm512_loadu_ps(x[c] + p);
+    for (int r = 0; r < kRows; ++r) {
+      const __m512 wv = _mm512_loadu_ps(w[r] + p);
+      for (int c = 0; c < kCols; ++c)
+        acc[r][c] = _mm512_fmadd_ps(wv, xv[c], acc[r][c]);
+    }
+  }
+  if (p < k) {
+    const __mmask16 mask = tail_mask(k - p);
+    for (int r = 0; r < kRows; ++r) {
+      const __m512 wv = _mm512_maskz_loadu_ps(mask, w[r] + p);
+      for (int c = 0; c < kCols; ++c)
+        acc[r][c] = _mm512_mask3_fmadd_ps(wv, _mm512_loadu_ps(x[c] + p),
+                                          acc[r][c], mask);
+    }
+  }
+  for (int r = 0; r < kRows; ++r)
+    for (int c = 0; c < kCols; ++c)
+      xc.at(r0 + r, j0 + c) += tree_sum(acc[r][c]);
+}
+
+void dense_gemv(const MatrixF& a, std::span<const MatrixF> bs,
+                std::span<MatrixF> cs, ThreadPool& pool) {
+  const GemvColumns xc(a.cols(), bs, cs);
+  if (xc.cols() == 0) return;
+  gemv_rows_parallel(
+      pool, a.rows(), (a.cols() + 15) / 16, xc.cols(),
+      [&](Index r0, Index r1) {
+        // Four rows at a time through every column group of at most
+        // four columns: the rows' weights stay in L1 across the groups,
+        // and each loaded x vector feeds four FMA chains.
+        Index r = r0;
+        for (; r + 4 <= r1; r += 4)
+          for_column_groups<4>(xc.cols(), [&](Index j, auto group) {
+            dense_gemv_block<4, decltype(group)::value>(a, r, xc, j);
+          });
+        for (; r < r1; ++r)
+          for_column_groups<4>(xc.cols(), [&](Index j, auto group) {
+            dense_gemv_block<1, decltype(group)::value>(a, r, xc, j);
+          });
+      });
+}
+
+/// Decode constants of one N:M pattern with N <= 16: a window is
+/// 16 / N blocks, whose stored values fill 16 slots (N per block).
+struct NmWindow {
+  Index blocks = 0;     ///< blocks per window
+  Index m = 0;          ///< block size
+  bool select = false;  ///< window spans <= 32 k: x from registers
+  __m512i count_lane;   ///< slot s -> i32 lane of its block's count
+  __m512i slot_rank;    ///< slot s -> s mod N, INT_MAX when unused
+  __m512i block_k;      ///< slot s -> (s / N) * M
+
+  explicit NmWindow(const sparse::NMPattern& pattern)
+      : blocks(16 / pattern.n), m(static_cast<Index>(pattern.m)),
+        select(blocks * m <= 32) {
+    alignas(64) std::int32_t lane[16], rank[16], base[16];
+    for (int s = 0; s < 16; ++s) {
+      const bool used = s < static_cast<int>(blocks) * pattern.n;
+      lane[s] = used ? 2 * (s / pattern.n) : 0;
+      rank[s] = used ? s % pattern.n : INT_MAX;
+      base[s] = used ? (s / pattern.n) * pattern.m : 0;
+    }
+    count_lane = _mm512_load_si512(lane);
+    slot_rank = _mm512_load_si512(rank);
+    block_k = _mm512_load_si512(base);
+  }
+};
+
+/// One row of a windowed N:M term against kCols columns. Per window:
+/// block counts -> a 16-slot mask; values and in-block indices
+/// expand-load into their slots; x lanes come from two register-
+/// resident slices by vpermt2ps (or a gather when the window is wider
+/// than 32 k); one masked FMA per column.
+template <int kCols, bool kSelect>
+void nm_gemv_row(const sparse::NMSparseMatrix& a, const NmWindow& win,
+                 Index r, const GemvColumns& xc, Index j0) {
+  const Index bpr = a.blocks_per_row();
+  const Index* off = a.block_offsets().data() + r * bpr;
+  const float* values = a.values().data();
+  const std::uint8_t* idx = a.in_block_index().data();
+  const Index nnz = a.nnz();
+  const float* x[kCols];
+  for (int c = 0; c < kCols; ++c) x[c] = xc.column(j0 + c);
+  __m512 acc[kCols];
+  for (int c = 0; c < kCols; ++c) acc[c] = _mm512_setzero_ps();
+
+  // Block counts of a window as i64 lanes (blocks 0..7, and 8..15 for
+  // 1:M); the masks cut a row's last window short, and its missing
+  // blocks load as zero-count.
+  const auto window = [&](Index blk, __mmask8 lo, __mmask8 hi) {
+    const __m512i cnt0 =
+        _mm512_sub_epi64(_mm512_maskz_loadu_epi64(lo, off + blk + 1),
+                         _mm512_maskz_loadu_epi64(lo, off + blk));
+    __m512i cnt1 = _mm512_setzero_si512();
+    if (hi != 0)
+      cnt1 = _mm512_sub_epi64(_mm512_maskz_loadu_epi64(hi, off + blk + 9),
+                              _mm512_maskz_loadu_epi64(hi, off + blk + 8));
+    const __mmask16 slots = _mm512_cmpgt_epi32_mask(
+        _mm512_permutex2var_epi32(cnt0, win.count_lane, cnt1), win.slot_rank);
+
+    const Index s0 = off[blk];
+    const __m512 v = _mm512_maskz_expandloadu_ps(slots, values + s0);
+    const __m512i bytes = load_index_bytes(idx + s0, nnz - s0);
+    const __m512i kpos = _mm512_add_epi32(
+        _mm512_maskz_expand_epi32(slots, bytes), win.block_k);
+    const Index kb = blk * win.m;
+    for (int c = 0; c < kCols; ++c) {
+      __m512 xs;
+      if constexpr (kSelect) {
+        xs = _mm512_permutex2var_ps(_mm512_loadu_ps(x[c] + kb), kpos,
+                                    _mm512_loadu_ps(x[c] + kb + 16));
+      } else {
+        xs = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), slots, kpos,
+                                      x[c] + kb, 4);
+      }
+      acc[c] = _mm512_mask3_fmadd_ps(v, xs, acc[c], slots);
+    }
+  };
+  const auto lo_mask = [](Index blocks) {
+    return static_cast<__mmask8>(blocks >= 8 ? 0xFF : (1U << blocks) - 1);
+  };
+  const auto hi_mask = [](Index blocks) {
+    return static_cast<__mmask8>(blocks > 8 ? (1U << (blocks - 8)) - 1 : 0);
+  };
+  const Index full = bpr - bpr % win.blocks;
+  const __mmask8 lo = lo_mask(win.blocks), hi = hi_mask(win.blocks);
+  for (Index blk = 0; blk < full; blk += win.blocks) window(blk, lo, hi);
+  if (full < bpr) window(full, lo_mask(bpr - full), hi_mask(bpr - full));
+  for (int c = 0; c < kCols; ++c) xc.at(r, j0 + c) += tree_sum(acc[c]);
+}
+
+/// One row of an N > 16 term: each block's stored values in chunks of
+/// 16 consecutive slots, x by gather.
+template <int kCols>
+void nm_gemv_row_chunked(const sparse::NMSparseMatrix& a, Index r,
+                         const GemvColumns& xc, Index j0) {
+  const Index bpr = a.blocks_per_row();
+  const auto m = static_cast<Index>(a.pattern().m);
+  const Index* off = a.block_offsets().data() + r * bpr;
+  const float* values = a.values().data();
+  const std::uint8_t* idx = a.in_block_index().data();
+  const float* x[kCols];
+  for (int c = 0; c < kCols; ++c) x[c] = xc.column(j0 + c);
+  __m512 acc[kCols];
+  for (int c = 0; c < kCols; ++c) acc[c] = _mm512_setzero_ps();
+
+  for (Index blk = 0; blk < bpr; ++blk) {
+    for (Index s = off[blk]; s < off[blk + 1]; s += 16) {
+      const Index stored = std::min<Index>(16, off[blk + 1] - s);
+      const auto slots = static_cast<__mmask16>((1U << stored) - 1U);
+      const __m512 v = _mm512_maskz_loadu_ps(slots, values + s);
+      const __m512i kpos = load_index_bytes(idx + s, stored);
+      for (int c = 0; c < kCols; ++c) {
+        const __m512 xs = _mm512_mask_i32gather_ps(
+            _mm512_setzero_ps(), slots, kpos, x[c] + blk * m, 4);
+        acc[c] = _mm512_mask3_fmadd_ps(v, xs, acc[c], slots);
+      }
+    }
+  }
+  for (int c = 0; c < kCols; ++c) xc.at(r, j0 + c) += tree_sum(acc[c]);
+}
+
+void nm_gemv(const sparse::NMSparseMatrix& a, std::span<const MatrixF> bs,
+             std::span<MatrixF> cs, ThreadPool& pool) {
+  if (a.nnz() == 0) return;  // also every 0:M term
+  const GemvColumns xc(a.cols(), bs, cs);
+  if (xc.cols() == 0) return;
+  const auto& pattern = a.pattern();
+  if (pattern.n > 16) {
+    const Index chunks = a.blocks_per_row() * ((pattern.n + 15) / 16);
+    gemv_rows_parallel(pool, a.rows(), kWindowSteps * chunks, xc.cols(),
+                       [&](Index r0, Index r1) {
+                         for (Index r = r0; r < r1; ++r)
+                           for_column_groups<kGemvMaxGroup>(
+                               xc.cols(), [&](Index j, auto group) {
+                                 nm_gemv_row_chunked<decltype(group)::value>(
+                                     a, r, xc, j);
+                               });
+                       });
+    return;
+  }
+  const NmWindow win(pattern);
+  const Index windows = (a.blocks_per_row() + win.blocks - 1) / win.blocks;
+  gemv_rows_parallel(
+      pool, a.rows(), kWindowSteps * windows, xc.cols(),
+      [&](Index r0, Index r1) {
+        for (Index r = r0; r < r1; ++r)
+          for_column_groups<kGemvMaxGroup>(
+              xc.cols(), [&](Index j, auto group) {
+                constexpr int kCols = decltype(group)::value;
+                if (win.select)
+                  nm_gemv_row<kCols, true>(a, win, r, xc, j);
+                else
+                  nm_gemv_row<kCols, false>(a, win, r, xc, j);
+              });
+      });
+}
+
+void dense_gemv_single(const MatrixF& a, const MatrixF& b, MatrixF& c,
+                       ThreadPool& pool) {
+  dense_gemv(a, {&b, 1}, {&c, 1}, pool);
+}
+
+void nm_gemv_single(const sparse::NMSparseMatrix& a, const MatrixF& b,
+                    MatrixF& c, ThreadPool& pool) {
+  nm_gemv(a, {&b, 1}, {&c, 1}, pool);
+}
+
 }  // namespace
 
 void register_avx512_kernels(GemmDispatch& dispatch) {
@@ -295,6 +632,10 @@ void register_avx512_kernels(GemmDispatch& dispatch) {
   dispatch.register_nm("nm-avx512", nm_avx512);
   dispatch.register_dense_batch("dense-batch-avx512", dense_batch_avx512);
   dispatch.register_nm_batch("nm-batch-avx512", nm_batch_avx512);
+  dispatch.register_dense("dense-gemv-avx512", dense_gemv_single);
+  dispatch.register_nm("nm-gemv-avx512", nm_gemv_single);
+  dispatch.register_dense_batch("dense-batch-gemv-avx512", dense_gemv);
+  dispatch.register_nm_batch("nm-batch-gemv-avx512", nm_gemv);
 }
 
 }  // namespace tasd::rt

@@ -6,6 +6,11 @@
 //   N:M         "nm-avx512"           compressed traversal, 16-lane FMA
 //   dense batch "dense-batch-avx512"  packed (row, batch-column) tile grid
 //   N:M batch   "nm-batch-avx512"     same grid over the compressed core
+// and the decode-width GEMV family, vectorized along k:
+//   dense       "dense-gemv-avx512"        16 partial sums per output
+//   N:M         "nm-gemv-avx512"           window decode + register select
+//   dense batch "dense-batch-gemv-avx512"  groups of <= 4 columns
+//   N:M batch   "nm-batch-gemv-avx512"     groups of <= 8 columns
 //
 // Bit-exactness model: identical to the AVX2 family (kernels_avx2.hpp) —
 // every output element accumulates along a single k-ascending (dense) /
@@ -15,8 +20,11 @@
 // scalar fma per lane as a 256-bit FMA, the AVX-512 kernels land in the
 // SAME rounding family as the AVX2 ones: bit-identical to them (and to
 // their own serial/batched runs), float-tolerance-close to the scalar
-// mul+add kernels. The differential property sweep
-// (tests/runtime/test_kernel_differential.cpp) pins both claims.
+// mul+add kernels. The GEMV family is its own rounding family: each
+// output's 16 fused partial sums reduce through one fixed tree, so it is
+// bit-exact across thread counts and batching but only bound-close to
+// the others. The differential property sweep
+// (tests/runtime/test_kernel_differential.cpp) pins all three claims.
 //
 // This translation unit is compiled with -mavx512f -mavx512bw (see
 // src/CMakeLists.txt); GemmDispatch registers the kernels only when
@@ -41,7 +49,7 @@ void nm_gemm_tile_avx512(const sparse::NMSparseMatrix& a, const MatrixF& b,
                          MatrixF& c, Index row_begin, Index row_end,
                          Index col_begin, Index col_end);
 
-/// Register all four AVX-512 kernels under their names. Called once by
+/// Register all eight AVX-512 kernels under their names. Called once by
 /// GemmDispatch's constructor when avx512_available(); never changes the
 /// registry defaults.
 void register_avx512_kernels(GemmDispatch& dispatch);

@@ -2,10 +2,13 @@
 //
 // Storage mirrors what real structured-sparse hardware consumes (e.g.
 // NVIDIA sparse tensor core metadata): for every M-aligned block we keep at
-// most N (value, in-block-index) pairs. Unlike the hardware format we keep
-// a per-block count so patterns with fewer than N non-zeros compress
-// further; the metadata bit cost model in src/accel/ charges the full
-// ceil(log2(M))*N bits the way hardware would.
+// most N (value, in-block-index) pairs. Unlike the hardware format, blocks
+// with fewer than N non-zeros store only those: an 8-byte offset per block
+// (block_offsets, a prefix sum of the per-block counts) delimits each
+// block's values, so the real footprint is 4 + 1 bytes per stored value
+// plus 8 bytes per block. The metadata bit cost model in src/accel/ (and
+// storage_bytes()) charges the full N slots and ceil(log2(M))*N bits the
+// way hardware would.
 #pragma once
 
 #include <cstdint>

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../runtime/kernel_families.hpp"
 #include "artifact/artifact.hpp"
 #include "artifact/format.hpp"
 #include "common/cpu_features.hpp"
@@ -41,7 +42,7 @@ struct SignatureGuard {
 struct TempPath {
   std::string path;
   explicit TempPath(const std::string& name)
-      : path(testing::TempDir() + name) {}
+      : path(::testing::TempDir() + name) {}
   ~TempPath() { std::remove(path.c_str()); }
 };
 
@@ -71,12 +72,14 @@ std::vector<std::optional<TasdConfig>> small_configs() {
 }
 
 /// Deterministic non-default winners, so "binding restored" is
-/// distinguishable from "binding re-resolved": serial/batch-loop are
-/// never what best_*() picks.
+/// distinguishable from "binding re-resolved": the scalar "-twin"
+/// kernels are autotune candidates that best_*() never picks.
 TuneTimer slow_is_fast() {
+  testing::register_scalar_twins();
   return [](const TuneMeasurement& m) {
-    return m.kernel == (m.batch ? "batch-loop"
-                                : (m.nm ? "serial" : "tiled-serial"))
+    return m.kernel == (m.batch ? "batch-packed-twin"
+                                : (m.nm ? "row-parallel-twin"
+                                        : "tiled-parallel-twin"))
                ? 1.0
                : 9.0;
   };
@@ -156,14 +159,53 @@ TEST(ArtifactTuning, StaticArtifactCarriesNoTuningSection) {
   EXPECT_FALSE(load_artifact(tmp.path, opt).tuning().has_value());
 }
 
+TEST(ArtifactTuning, StaticArtifactLoadReproducesEveryLayerBinding) {
+  // No tuning section: the load re-enters the "auto" resolution with the
+  // serialized positions, so every layer — decode-width (positions 1)
+  // and wide alike — binds exactly the kernels it was compiled with: the
+  // GEMV family for the decode layers on AVX-512 hosts.
+  auto net = small_net();
+  net.layers[0].n = 1;
+  net.layers[1].n = 1;
+  dnn::GemmWorkload wide = net.layers[0];
+  wide.name = "c";
+  wide.n = 64;
+  net.layers.push_back(wide);
+  const std::vector<std::optional<TasdConfig>> configs = {
+      TasdConfig::parse("2:4"), std::nullopt, TasdConfig::parse("2:4")};
+  TempPath tmp("tasd_static_bindings.tasdart");
+  CompileOptions opt;
+  opt.measure.use_plan_cache = false;
+  const auto engine = compile(net, configs, opt);
+  save_artifact(engine, tmp.path);
+  const auto loaded = load_artifact(tmp.path, opt);
+  const auto& dispatch = GemmDispatch::instance();
+  ASSERT_EQ(loaded.layer_count(), engine.layer_count());
+  Rng rng(9320);
+  for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
+    const auto& l = loaded.layer(i);
+    EXPECT_EQ(l.n, engine.layer(i).n) << i;
+    EXPECT_EQ(l.kernel, engine.layer(i).kernel) << i;
+    EXPECT_EQ(l.batch_kernel, engine.layer(i).batch_kernel) << i;
+    const bool nm = l.series.has_value();
+    EXPECT_EQ(l.kernel, nm ? dispatch.best_nm(l.n) : dispatch.best_dense(l.n))
+        << i;
+    if (avx512_available() && l.n == 1) {
+      EXPECT_NE(l.kernel.find("gemv"), std::string::npos) << l.kernel;
+    }
+    const MatrixF b = random_dense(l.k, l.n, Dist::kNormalStd1, rng);
+    EXPECT_EQ(loaded.run(i, b), engine.run(i, b)) << i;
+  }
+}
+
 TEST(ArtifactTuning, ForeignHostSignatureFallsBackToReResolution) {
   const TimerGuard timer(slow_is_fast());
   TempPath tmp("tasd_foreign.tasdart");
   save_artifact(compile(small_net(), small_configs(), tuned_opt()), tmp.path);
 
   // Load "on another machine": the stored binding must NOT transfer;
-  // every layer re-resolves through the static best_*() chain exactly
-  // as an untuned artifact would.
+  // every layer re-resolves through the static best_*() chain at its
+  // width exactly as an untuned artifact would.
   const SignatureGuard sig("other-box|avx2=0,avx512=0");
   CompileOptions opt;
   opt.measure.use_plan_cache = false;
@@ -172,11 +214,13 @@ TEST(ArtifactTuning, ForeignHostSignatureFallsBackToReResolution) {
   const auto& dispatch = GemmDispatch::instance();
   for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
     const bool nm = loaded.layer(i).series.has_value();
+    const Index width = loaded.layer(i).n;
     EXPECT_EQ(loaded.layer(i).kernel,
-              nm ? dispatch.best_nm() : dispatch.best_dense())
+              nm ? dispatch.best_nm(width) : dispatch.best_dense(width))
         << "stale foreign binding on layer " << i;
     EXPECT_EQ(loaded.layer(i).batch_kernel,
-              nm ? dispatch.best_nm_batch() : dispatch.best_dense_batch());
+              nm ? dispatch.best_nm_batch(width)
+                 : dispatch.best_dense_batch(width));
   }
 }
 

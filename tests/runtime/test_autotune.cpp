@@ -12,6 +12,7 @@
 
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
+#include "kernel_families.hpp"
 #include "runtime/autotune.hpp"
 #include "runtime/compiled_network.hpp"
 #include "tensor/generator.hpp"
@@ -59,17 +60,24 @@ bool contains(const std::vector<std::string>& names, const std::string& n) {
   return std::find(names.begin(), names.end(), n) != names.end();
 }
 
+/// The registered names autotune times for one slot.
+std::vector<std::string> candidates(std::vector<std::string> registry) {
+  std::erase_if(registry,
+                [](const std::string& n) { return !autotune_candidate(n); });
+  return registry;
+}
+
 TEST(Autotune, FixedFakeTimingsYieldAFixedBinding) {
   // The fake timer prefers a different kernel on each layer: the nm
-  // layer "a" gets "serial"/"batch-loop", the dense layer "b" gets
-  // "tiled-serial"/"batch-loop" — deliberately NOT the static best_*()
-  // picks, so a pass proves the injected measurements (and nothing
-  // else) drove the binding.
+  // layer "a" gets "row-parallel-twin"/"batch-packed-twin", the dense
+  // layer "b" gets "tiled-parallel-twin"/"batch-packed-twin" —
+  // deliberately NOT the static best_*() picks, so a pass proves the
+  // injected measurements (and nothing else) drove the binding.
+  testing::register_scalar_twins();
   const TimerGuard guard([](const TuneMeasurement& m) {
-    if (m.layer == "a") return m.kernel == (m.batch ? "batch-loop" : "serial")
-                                   ? 1.0
-                                   : 9.0;
-    return m.kernel == (m.batch ? "batch-loop" : "tiled-serial") ? 1.0 : 9.0;
+    std::string fast = "batch-packed-twin";
+    if (!m.batch) fast = m.nm ? "row-parallel-twin" : "tiled-parallel-twin";
+    return m.kernel == fast ? 1.0 : 9.0;
   });
   for (int round = 0; round < 2; ++round) {
     const auto engine = compile(two_layer_net(), mixed_configs(),
@@ -78,22 +86,22 @@ TEST(Autotune, FixedFakeTimingsYieldAFixedBinding) {
     const TuningResult& t = *engine.tuning();
     EXPECT_EQ(t.host_signature, cpu_signature());
     ASSERT_EQ(t.layers.size(), 2U);
-    EXPECT_EQ(t.find("a")->chosen_single, "serial");
-    EXPECT_EQ(t.find("a")->chosen_batch, "batch-loop");
-    EXPECT_EQ(t.find("b")->chosen_single, "tiled-serial");
-    EXPECT_EQ(t.find("b")->chosen_batch, "batch-loop");
+    EXPECT_EQ(t.find("a")->chosen_single, "row-parallel-twin");
+    EXPECT_EQ(t.find("a")->chosen_batch, "batch-packed-twin");
+    EXPECT_EQ(t.find("b")->chosen_single, "tiled-parallel-twin");
+    EXPECT_EQ(t.find("b")->chosen_batch, "batch-packed-twin");
     // The binding is per layer: layer_policy() overlays the chosen name
     // on the right slot of the network-wide policy.
-    EXPECT_EQ(engine.layer_policy(0).nm_kernel, "serial");
-    EXPECT_EQ(engine.layer_policy(0).nm_batch_kernel, "batch-loop");
-    EXPECT_EQ(engine.layer_policy(1).dense_kernel, "tiled-serial");
-    EXPECT_EQ(engine.layer_policy(1).dense_batch_kernel, "batch-loop");
-    // Every candidate table covers the whole registry and records the
-    // injected timings verbatim.
+    EXPECT_EQ(engine.layer_policy(0).nm_kernel, "row-parallel-twin");
+    EXPECT_EQ(engine.layer_policy(0).nm_batch_kernel, "batch-packed-twin");
+    EXPECT_EQ(engine.layer_policy(1).dense_kernel, "tiled-parallel-twin");
+    EXPECT_EQ(engine.layer_policy(1).dense_batch_kernel, "batch-packed-twin");
+    // Every candidate table covers the whole candidate pool and records
+    // the injected timings verbatim.
     for (const LayerTuning& lt : t.layers) {
       EXPECT_EQ(lt.single.size(),
-                (lt.nm ? GemmDispatch::instance().nm_kernels()
-                       : GemmDispatch::instance().dense_kernels())
+                candidates(lt.nm ? GemmDispatch::instance().nm_kernels()
+                                 : GemmDispatch::instance().dense_kernels())
                     .size());
       for (const TuneCandidate& c : lt.single)
         EXPECT_TRUE(c.ms == 1.0 || c.ms == 9.0) << c.kernel;
@@ -104,33 +112,63 @@ TEST(Autotune, FixedFakeTimingsYieldAFixedBinding) {
 TEST(Autotune, PerLayerWinnersDivergeWhenTimingsDo) {
   // Two dense layers, opposite preferences: the binding must differ per
   // layer even though both layers share one network-wide policy.
+  testing::register_scalar_twins();
   auto net = two_layer_net();
   const std::vector<std::optional<TasdConfig>> both_dense = {std::nullopt,
                                                              std::nullopt};
   const TimerGuard guard([](const TuneMeasurement& m) {
-    const bool fast = m.layer == "a" ? m.kernel == "tiled-serial"
-                                     : m.kernel == "reference";
+    const bool fast = m.layer == "a" ? m.kernel == "tiled-parallel-twin"
+                                     : m.kernel == "tiled-parallel";
     return fast ? 0.5 : 2.0;
   });
   const auto engine = compile(net, both_dense, autotune_opt());
-  EXPECT_EQ(engine.layer_policy(0).dense_kernel, "tiled-serial");
-  EXPECT_EQ(engine.layer_policy(1).dense_kernel, "reference");
+  EXPECT_EQ(engine.layer_policy(0).dense_kernel, "tiled-parallel-twin");
+  EXPECT_EQ(engine.layer_policy(1).dense_kernel, "tiled-parallel");
+}
+
+TEST(Autotune, SingleThreadAndOracleKernelsAreNeverCandidates) {
+  // The fake timer makes every one-thread or oracle kernel look ten
+  // times faster than anything else: none may be timed or bound. (A
+  // wall-clock tune once bound "serial" on a 4% difference.)
+  const std::vector<std::string> excluded = {"serial", "tiled-serial",
+                                             "reference", "batch-loop"};
+  const TimerGuard guard([&](const TuneMeasurement& m) {
+    return contains(excluded, m.kernel) ? 0.1 : 1.0;
+  });
+  const auto engine =
+      compile(two_layer_net(), mixed_configs(), autotune_opt());
+  ASSERT_TRUE(engine.tuning().has_value());
+  for (const LayerTuning& lt : engine.tuning()->layers) {
+    for (const auto* table : {&lt.single, &lt.batch}) {
+      ASSERT_FALSE(table->empty()) << lt.layer;
+      for (const TuneCandidate& c : *table)
+        EXPECT_FALSE(contains(excluded, c.kernel))
+            << lt.layer << " " << c.kernel;
+    }
+    EXPECT_FALSE(contains(excluded, lt.chosen_single)) << lt.layer;
+    EXPECT_FALSE(contains(excluded, lt.chosen_batch)) << lt.layer;
+  }
+  for (const std::string& name : excluded)
+    EXPECT_FALSE(autotune_candidate(name)) << name;
+  EXPECT_TRUE(autotune_candidate("row-parallel"));
+  EXPECT_TRUE(autotune_candidate("batch-packed"));
 }
 
 TEST(Autotune, TunedRunMatchesTheStaticallyPinnedKernelBitwise) {
+  testing::register_scalar_twins();
   const auto net = two_layer_net();
   const TimerGuard guard([](const TuneMeasurement& m) {
-    return m.kernel == (m.nm ? "serial" : "tiled-serial") ||
-                   m.kernel == "batch-loop"
+    return m.kernel == (m.nm ? "row-parallel-twin" : "tiled-parallel-twin") ||
+                   m.kernel == "batch-packed-twin"
                ? 1.0
                : 9.0;
   });
   const auto tuned = compile(net, mixed_configs(), autotune_opt());
   CompileOptions pin;
-  pin.nm_kernel = "serial";
-  pin.dense_kernel = "tiled-serial";
-  pin.nm_batch_kernel = "batch-loop";
-  pin.dense_batch_kernel = "batch-loop";
+  pin.nm_kernel = "row-parallel-twin";
+  pin.dense_kernel = "tiled-parallel-twin";
+  pin.nm_batch_kernel = "batch-packed-twin";
+  pin.dense_batch_kernel = "batch-packed-twin";
   const auto pinned = compile(net, mixed_configs(), pin);
   Rng rng(7600);
   const MatrixF b = random_dense(net.layers[0].k, 9, Dist::kNormalStd1, rng);
@@ -149,8 +187,8 @@ TEST(Autotune, TunedRunMatchesTheStaticallyPinnedKernelBitwise) {
 TEST(Autotune, WallClockTuningChoosesTheTableMinimum) {
   // No hook installed: real micro-bench timings. The absolute numbers
   // are noisy on CI, but the invariants are not — the chosen kernel is
-  // the argmin of its own candidate table, every candidate is a
-  // registered name, and timings are positive.
+  // the argmin of its own candidate table, the table is exactly the
+  // slot's candidate pool, and timings are positive.
   const auto engine =
       compile(two_layer_net(), mixed_configs(), autotune_opt());
   ASSERT_TRUE(engine.tuning().has_value());
@@ -159,10 +197,11 @@ TEST(Autotune, WallClockTuningChoosesTheTableMinimum) {
                            const std::string& chosen,
                            const std::vector<std::string>& registry) {
       ASSERT_FALSE(table.empty());
+      EXPECT_EQ(table.size(), candidates(registry).size()) << lt.layer;
       double best = table.front().ms;
       for (const TuneCandidate& c : table) {
         EXPECT_GT(c.ms, 0.0) << c.kernel;
-        EXPECT_TRUE(contains(registry, c.kernel)) << c.kernel;
+        EXPECT_TRUE(contains(candidates(registry), c.kernel)) << c.kernel;
         best = std::min(best, c.ms);
       }
       const auto it =

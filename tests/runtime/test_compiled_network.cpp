@@ -93,9 +93,9 @@ TEST(CompiledNetwork, RunMatchesDirectKernelPathsAtEveryThreadCount) {
   const MatrixF w0 = dnn::materialize_weight(net.layers[0]);
   const MatrixF w1 = dnn::materialize_weight(net.layers[1]);
   const TasdSeriesGemm series(plan_cache().get_or_build(w0, *cfgs[0]));
-  ExecPolicy resolved;  // what "auto" resolves to, on the default pool
-  resolved.dense_kernel = GemmDispatch::instance().best_dense();
-  resolved.nm_kernel = GemmDispatch::instance().best_nm();
+  ExecPolicy resolved;  // what "auto" binds per layer, on the default pool
+  resolved.dense_kernel = GemmDispatch::instance().best_dense(net.layers[1].n);
+  resolved.nm_kernel = GemmDispatch::instance().best_nm(net.layers[0].n);
   const MatrixF want0 = series.multiply(b0, resolved);
   const MatrixF want1 = dense_gemm(w1, b1, resolved);
 

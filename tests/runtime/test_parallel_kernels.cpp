@@ -189,11 +189,21 @@ TEST(GemmDispatchRegistry, SimdKernelsFollowRuntimeDetection) {
   EXPECT_EQ(has(nm, "nm-avx512"), avx512_available());
   EXPECT_EQ(has(dense_batch, "dense-batch-avx512"), avx512_available());
   EXPECT_EQ(has(nm_batch, "nm-batch-avx512"), avx512_available());
+  EXPECT_EQ(has(dense, "dense-gemv-avx512"), avx512_available());
+  EXPECT_EQ(has(nm, "nm-gemv-avx512"), avx512_available());
+  EXPECT_EQ(has(dense_batch, "dense-batch-gemv-avx512"), avx512_available());
+  EXPECT_EQ(has(nm_batch, "nm-batch-gemv-avx512"), avx512_available());
   if (avx512_available()) {
     EXPECT_EQ(dispatch.best_dense(), "dense-avx512");
     EXPECT_EQ(dispatch.best_nm(), "nm-avx512");
     EXPECT_EQ(dispatch.best_dense_batch(), "dense-batch-avx512");
     EXPECT_EQ(dispatch.best_nm_batch(), "nm-batch-avx512");
+    // Decode widths (1..8 positions) head the chain with the GEMV family.
+    EXPECT_EQ(dispatch.best_dense(1), "dense-gemv-avx512");
+    EXPECT_EQ(dispatch.best_nm(8), "nm-gemv-avx512");
+    EXPECT_EQ(dispatch.best_dense_batch(1), "dense-batch-gemv-avx512");
+    EXPECT_EQ(dispatch.best_nm_batch(8), "nm-batch-gemv-avx512");
+    EXPECT_EQ(dispatch.best_nm(9), "nm-avx512");
   } else if (avx2_available()) {
     EXPECT_EQ(dispatch.best_dense(), "dense-avx2");
     EXPECT_EQ(dispatch.best_nm(), "nm-avx2");

@@ -1,29 +1,29 @@
-// Autotune bench (ISSUE 10 acceptance): does per-layer micro-bench
-// binding ever lose to the static best_*() chain, and does the tuned
-// artifact round-trip?
+// Autotune bench: does per-layer family binding by measurement ever
+// lose to the static best_family() chain, and does the tuned artifact
+// round-trip?
 //
 // The network mixes layer shapes and patterns on purpose — a skinny
 // GEMV-regime layer, a wide batch-friendly layer, a mixed 2:8+1:8
-// series, a dense layer — so different candidates get a chance to win
+// series, a dense layer — so different families get a chance to win
 // different layers. compile() under KernelPolicy::kAutotune times every
-// registered candidate per layer with time_ms_min (min-of-N, untimed
-// warmup); the emitted JSON carries the full candidate tables, the
-// chosen binding, and the static binding's timing *from the same
-// table*, so "chosen vs static" compares measurements taken identically
-// in the same process.
+// available family per layer on its single-RHS and batch workloads with
+// time_ms_min (min-of-N, untimed warmup); the emitted JSON carries the
+// full candidate tables, the chosen family, and the static family's
+// timing *from the same table*, so "chosen vs static" compares
+// measurements taken identically in the same process.
 //
 // Hard gates (non-zero exit):
-//  * per layer and slot, chosen_ms <= static_ms — the winner is the
-//    table argmin and the static name is in the table, so autotuning
-//    can never regress a layer beyond measurement noise (and the noise
-//    is shared: one table, one protocol);
+//  * per layer, chosen single + batch <= static single + batch — the
+//    winner is the table argmin and the static family is in the table,
+//    so autotuning can never regress a layer beyond measurement noise
+//    (and the noise is shared: one table, one protocol);
 //  * the tuned network matches a scalar-pinned compile of the same
 //    network to 1e-4 on random inputs (tuning may change the rounding
 //    family, never the math);
 //  * save → load restores the binding verbatim with zero decompositions
 //    and the loaded network runs bit-exact to the tuned one.
 //
-// Emits BENCH_autotune.json (schema tasd-bench-autotune-v1; see
+// Emits BENCH_autotune.json (schema tasd-bench-autotune-v2; see
 // docs/reproducing.md).
 //
 // Usage: autotune [output.json] [--quick]
@@ -82,21 +82,12 @@ std::vector<std::optional<TasdConfig>> bench_configs() {
           TasdConfig::parse("2:8+1:8"), std::nullopt};
 }
 
-double table_ms(const std::vector<rt::TuneCandidate>& table,
-                const std::string& kernel) {
-  for (const auto& c : table)
-    if (c.kernel == kernel) return c.ms;
-  return -1.0;
-}
-
-void print_table(std::FILE* f, const char* key,
-                 const std::vector<rt::TuneCandidate>& table,
-                 const char* trailing) {
-  std::fprintf(f, "        \"%s\": [", key);
-  for (std::size_t i = 0; i < table.size(); ++i)
-    std::fprintf(f, "%s{\"kernel\": \"%s\", \"ms\": %.6f}",
-                 i == 0 ? "" : ", ", table[i].kernel.c_str(), table[i].ms);
-  std::fprintf(f, "]%s\n", trailing);
+/// The candidate for `family` in a layer's table, or nullptr.
+const rt::TuneCandidate* candidate(const rt::LayerTuning& lt,
+                                   const std::string& family) {
+  for (const auto& c : lt.candidates)
+    if (c.family == family) return &c;
+  return nullptr;
 }
 
 }  // namespace
@@ -128,27 +119,27 @@ int main(int argc, char** argv) {
   const rt::TuningResult& result = *tuned.tuning();
 
   // The static chain's picks, for the chosen-vs-static comparison. The
-  // static names sit in the same candidate tables the tuner measured,
+  // static family sits in the same candidate table the tuner measured,
   // so both sides of every ratio share one measurement protocol.
-  const auto& dispatch = rt::GemmDispatch::instance();
+  std::vector<std::string> static_family;
   bool never_slower = true;
-  for (const rt::LayerTuning& lt : result.layers) {
-    const std::string static_single =
-        lt.nm ? dispatch.best_nm() : dispatch.best_dense();
-    const std::string static_batch =
-        lt.nm ? dispatch.best_nm_batch() : dispatch.best_dense_batch();
-    const double chosen_s = table_ms(lt.single, lt.chosen_single);
-    const double static_s = table_ms(lt.single, static_single);
-    const double chosen_b = table_ms(lt.batch, lt.chosen_batch);
-    const double static_b = table_ms(lt.batch, static_batch);
+  for (std::size_t i = 0; i < result.layers.size(); ++i) {
+    const rt::LayerTuning& lt = result.layers[i];
+    static_family.emplace_back(rt::best_family(net.layers[i].n).name);
+    const rt::TuneCandidate* chosen = candidate(lt, lt.chosen);
+    const rt::TuneCandidate* fixed = candidate(lt, static_family.back());
+    if (chosen == nullptr || fixed == nullptr) {
+      std::fprintf(stderr, "** %s: family missing from its table **\n",
+                   lt.layer.c_str());
+      return 1;
+    }
     std::fprintf(stderr,
-                 "[autotune] %-7s single %-18s %8.4f ms (static %-18s "
-                 "%8.4f ms)  batch %-18s %8.4f ms (static %-18s %8.4f ms)\n",
-                 lt.layer.c_str(), lt.chosen_single.c_str(), chosen_s,
-                 static_single.c_str(), static_s, lt.chosen_batch.c_str(),
-                 chosen_b, static_batch.c_str(), static_b);
-    if (chosen_s < 0 || static_s < 0 || chosen_b < 0 || static_b < 0 ||
-        chosen_s > static_s || chosen_b > static_b) {
+                 "[autotune] %-7s chosen %-12s %8.4f + %8.4f ms (static "
+                 "%-12s %8.4f + %8.4f ms)\n",
+                 lt.layer.c_str(), lt.chosen.c_str(), chosen->single_ms,
+                 chosen->batch_ms, static_family.back().c_str(),
+                 fixed->single_ms, fixed->batch_ms);
+    if (chosen->total_ms() > fixed->total_ms()) {
       std::fprintf(stderr, "** autotuned binding slower than static on %s **\n",
                    lt.layer.c_str());
       never_slower = false;
@@ -159,10 +150,7 @@ int main(int argc, char** argv) {
   // Correctness gate: the tuned network against a scalar-pinned compile
   // of the same weights — whatever family won, the math must agree.
   rt::CompileOptions scalar_opt;
-  scalar_opt.dense_kernel = "tiled-parallel";
-  scalar_opt.nm_kernel = "row-parallel";
-  scalar_opt.dense_batch_kernel = "batch-packed";
-  scalar_opt.nm_batch_kernel = "batch-packed";
+  scalar_opt.kernel_family = "scalar";
   const auto scalar = rt::compile(net, configs, scalar_opt);
   Rng rng(7790);
   for (std::size_t i = 0; i < net.layers.size(); ++i) {
@@ -196,8 +184,7 @@ int main(int argc, char** argv) {
       std::exit(1);
     }
     for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
-      if (loaded.layer(i).kernel != tuned.layer(i).kernel ||
-          loaded.layer(i).batch_kernel != tuned.layer(i).batch_kernel) {
+      if (loaded.layer(i).family != tuned.layer(i).family) {
         std::fprintf(stderr, "** binding not restored on layer %zu **\n", i);
         std::exit(1);
       }
@@ -222,7 +209,7 @@ int main(int argc, char** argv) {
     std::perror("autotune: cannot open output");
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-autotune-v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-autotune-v2\",\n");
   std::fprintf(f, "  \"host_signature\": \"%s\",\n",
                result.host_signature.c_str());
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
@@ -234,30 +221,22 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"layers\": [\n");
   for (std::size_t i = 0; i < result.layers.size(); ++i) {
     const rt::LayerTuning& lt = result.layers[i];
-    const std::string static_single =
-        lt.nm ? dispatch.best_nm() : dispatch.best_dense();
-    const std::string static_batch =
-        lt.nm ? dispatch.best_nm_batch() : dispatch.best_dense_batch();
+    const rt::TuneCandidate& chosen = *candidate(lt, lt.chosen);
+    const rt::TuneCandidate& fixed = *candidate(lt, static_family[i]);
     std::fprintf(f, "    {\n      \"layer\": \"%s\",\n", lt.layer.c_str());
     std::fprintf(f, "      \"nm\": %s,\n", lt.nm ? "true" : "false");
-    std::fprintf(f, "      \"chosen_single\": \"%s\",\n",
-                 lt.chosen_single.c_str());
-    std::fprintf(f, "      \"static_single\": \"%s\",\n",
-                 static_single.c_str());
-    std::fprintf(f, "      \"chosen_batch\": \"%s\",\n",
-                 lt.chosen_batch.c_str());
-    std::fprintf(f, "      \"static_batch\": \"%s\",\n", static_batch.c_str());
-    std::fprintf(f, "      \"single_chosen_ms\": %.6f,\n",
-                 table_ms(lt.single, lt.chosen_single));
-    std::fprintf(f, "      \"single_static_ms\": %.6f,\n",
-                 table_ms(lt.single, static_single));
-    std::fprintf(f, "      \"batch_chosen_ms\": %.6f,\n",
-                 table_ms(lt.batch, lt.chosen_batch));
-    std::fprintf(f, "      \"batch_static_ms\": %.6f,\n",
-                 table_ms(lt.batch, static_batch));
-    print_table(f, "candidates_single", lt.single, ",");
-    print_table(f, "candidates_batch", lt.batch, "");
-    std::fprintf(f, "    }%s\n", i + 1 < result.layers.size() ? "," : "");
+    std::fprintf(f, "      \"chosen\": \"%s\",\n", lt.chosen.c_str());
+    std::fprintf(f, "      \"static\": \"%s\",\n", static_family[i].c_str());
+    std::fprintf(f, "      \"chosen_ms\": %.6f,\n", chosen.total_ms());
+    std::fprintf(f, "      \"static_ms\": %.6f,\n", fixed.total_ms());
+    std::fprintf(f, "      \"candidates\": [");
+    for (std::size_t c = 0; c < lt.candidates.size(); ++c)
+      std::fprintf(f,
+                   "%s{\"family\": \"%s\", \"single_ms\": %.6f, "
+                   "\"batch_ms\": %.6f}",
+                   c == 0 ? "" : ", ", lt.candidates[c].family.c_str(),
+                   lt.candidates[c].single_ms, lt.candidates[c].batch_ms);
+    std::fprintf(f, "]\n    }%s\n", i + 1 < result.layers.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

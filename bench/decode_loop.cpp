@@ -1,5 +1,5 @@
-// Autoregressive-decode bench: the pipelined executor against the
-// sequential execution paths on the transformer decode step.
+// Autoregressive-decode bench: the two sequential execution paths on
+// the transformer decode step, per kernel family.
 //
 // Each step is dnn::decode_step_workload — attention projections,
 // score/value mixing against the KV cache, and the MLP pair, all at
@@ -7,29 +7,18 @@
 // dominated by the weight traversal, so executing a batch of decode
 // steps one item at a time (seq_loop — the natural per-request serving
 // loop, CompiledNetwork::run_network per item) re-traverses every
-// weight per item, and the layer-major batched path (seq_batch —
-// run_network_batch) pays a full pool barrier per layer.
-// rt::PipelinedExecutor splits the batch into per-worker chunks and
-// overlaps layer L+1 of chunk c with layer L of chunk c+1 through one
-// explicit task graph: chunk-packed kernels amortize the weight
-// traversals AND the whole batch costs one pool fork.
+// weight per item, while the layer-major batched path (seq_batch —
+// run_network_batch) traverses each weight once per batch and pays one
+// pool barrier per layer.
 //
-// The sweep runs per kernel set (pinned scalar and, when registered,
-// AVX2/FMA), per pool size (1 = the documented no-op fallback, where
-// the pipelined path degenerates to seq_batch; >1 = real overlap), per
-// KV-cache length, per batch. Before timing, every cell's pipelined
-// output is checked bit-exact (`==`) against both sequential paths of
-// the same artifact — a wrong-but-fast schedule fails loudly here
-// (non-zero exit).
+// The sweep runs per available kernel family (pinned for every layer),
+// per pool size, per KV-cache length, per batch. Before timing, every
+// cell's batched output is checked bit-exact (`==`) against the per-item
+// loop of the same artifact — a wrong-but-fast batch path fails loudly
+// here (non-zero exit). `speedup` is seq_loop over seq_batch.
 //
-// `speedup` is pipelined vs the per-item sequential loop (the decode
-// scenario's baseline); `speedup_vs_batch` isolates the pipelining
-// contribution against the already-batched sequential path — expect it
-// below 1 on single-core machines (chunking repeats weight traversals
-// with no spare core to hide them) and above 1 with real cores.
-//
-// Emits BENCH_decode.json (schema tasd-bench-decode-v1; see
-// docs/reproducing.md and docs/executor.md).
+// Emits BENCH_decode.json (schema tasd-bench-decode-v2; see
+// docs/reproducing.md).
 //
 // Usage: decode_loop [output.json] [--quick]
 #include <algorithm>
@@ -41,7 +30,6 @@
 #include "common/timer.hpp"
 #include "dnn/workloads.hpp"
 #include "runtime/compiled_network.hpp"
-#include "runtime/pipelined_executor.hpp"
 #include "tensor/generator.hpp"
 
 namespace {
@@ -70,22 +58,15 @@ struct Entry {
   std::size_t threads = 0;
   Index kv = 0;
   std::size_t batch = 0;
-  bool noop = false;  ///< pipelining_is_noop: pipe is the seq_batch path
   double seq_loop_ms = 0.0;
   double seq_batch_ms = 0.0;
-  double pipe_ms = 0.0;
   [[nodiscard]] double speedup() const {
-    return pipe_ms > 0.0 ? seq_loop_ms / pipe_ms : 0.0;
-  }
-  [[nodiscard]] double speedup_vs_batch() const {
-    return pipe_ms > 0.0 ? seq_batch_ms / pipe_ms : 0.0;
+    return seq_batch_ms > 0.0 ? seq_loop_ms / seq_batch_ms : 0.0;
   }
 };
 
 struct KernelSetResult {
-  std::string label;
-  std::string dense_kernel;
-  std::string nm_kernel;
+  std::string label;  ///< kernel family name
   std::vector<Entry> entries;
 };
 
@@ -112,63 +93,27 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
   const int repeats = quick ? 5 : 9;
 
-  std::vector<std::pair<std::string, rt::CompileOptions>> kernel_sets;
-  {
-    rt::CompileOptions scalar;
-    scalar.query_cols = 1;
-    scalar.n_divisor = 1;  // decode layers are already n = 1
-    scalar.measure.repeats = 1;
-    scalar.dense_kernel = "tiled-parallel";
-    scalar.nm_kernel = "row-parallel";
-    scalar.dense_batch_kernel = "batch-packed";
-    scalar.nm_batch_kernel = "batch-packed";
-    kernel_sets.emplace_back("scalar", scalar);
-    // Gate on registry membership, not *_available(): a toolchain whose
-    // compiler rejects -mavx2/-mavx512f builds no SIMD kernels even on
-    // capable hardware, and compiling an unregistered name would throw.
-    // (best_dense() no longer works as the gate — on an AVX-512 host it
-    // names the avx512 kernel, which must not hide the avx2 set.)
-    const auto dense_names = rt::GemmDispatch::instance().dense_kernels();
-    const auto registered = [&](const char* name) {
-      return std::find(dense_names.begin(), dense_names.end(), name) !=
-             dense_names.end();
-    };
-    if (registered("dense-avx2")) {
-      rt::CompileOptions simd = scalar;
-      simd.dense_kernel = "dense-avx2";
-      simd.nm_kernel = "nm-avx2";
-      simd.dense_batch_kernel = "dense-batch-avx2";
-      simd.nm_batch_kernel = "nm-batch-avx2";
-      kernel_sets.emplace_back("avx2", simd);
-    }
-    if (registered("dense-avx512")) {
-      rt::CompileOptions simd = scalar;
-      simd.dense_kernel = "dense-avx512";
-      simd.nm_kernel = "nm-avx512";
-      simd.dense_batch_kernel = "dense-batch-avx512";
-      simd.nm_batch_kernel = "nm-batch-avx512";
-      kernel_sets.emplace_back("avx512", simd);
-    }
-  }
+  rt::CompileOptions base;
+  base.query_cols = 1;
+  base.n_divisor = 1;  // decode layers are already n = 1
+  base.measure.repeats = 1;
 
   std::vector<KernelSetResult> results;
   volatile float sink = 0.0F;  // defeat dead-code elimination
-  for (const auto& [label, base_opt] : kernel_sets) {
+  for (const rt::KernelFamily* family : rt::kernel_families()) {
+    const std::string label = family->name;
     KernelSetResult r;
     r.label = label;
     for (const std::size_t threads : pool_sizes) {
       for (const Index kv : kv_lens) {
         const auto net = dnn::decode_step_workload(kHidden, kv, true, 42);
-        rt::CompileOptions opt = base_opt;
+        rt::CompileOptions opt = base;
+        opt.kernel_family = label;
         opt.measure.num_threads = threads;
         // Plans are shared through the process-wide cache, so only the
         // first artifact per (weights, config) pair decomposes.
         const auto engine = rt::compile(net, decode_configs(net), opt);
-        r.dense_kernel = engine.options().dense_kernel;
-        r.nm_kernel = engine.options().nm_kernel;
-        const rt::PipelinedExecutor exec(engine);
-
-        // Dedicated warmup for this kernel set / pool / kv cell: spin
+        // Dedicated warmup for this family / pool / kv cell: spin
         // the pool up, fault the weights in, and let every execution
         // path touch its buffers once before anything is timed —
         // otherwise the first row of each sweep absorbs those one-time
@@ -179,7 +124,6 @@ int main(int argc, char** argv) {
               random_dense(kHidden, 1, Dist::kNormalStd1, wrng)};
           (void)engine.run_network(warm[0]);
           (void)engine.run_network_batch(warm);
-          (void)exec.run_batch(warm);
         }
 
         Rng rng(9001 + static_cast<std::uint64_t>(kv));
@@ -190,14 +134,11 @@ int main(int argc, char** argv) {
             inputs.push_back(
                 random_dense(kHidden, 1, Dist::kNormalStd1, rng));
 
-          // Bit-exactness gate: the pipelined schedule must reproduce
-          // both sequential paths exactly before its timing means
-          // anything.
+          // Bit-exactness gate: the batched path must reproduce the
+          // per-item loop exactly before its timing means anything.
           const auto batch_out = engine.run_network_batch(inputs);
-          const auto pipe_out = exec.run_batch(inputs);
           for (std::size_t i = 0; i < batch; ++i) {
-            if (!(batch_out[i] == pipe_out[i]) ||
-                !(engine.run_network(inputs[i]) == pipe_out[i])) {
+            if (!(engine.run_network(inputs[i]) == batch_out[i])) {
               std::fprintf(stderr,
                            "** NOT BIT-EXACT: %s threads=%zu kv=%zu "
                            "batch=%zu item %zu **\n",
@@ -211,7 +152,6 @@ int main(int argc, char** argv) {
           e.threads = threads;
           e.kv = kv;
           e.batch = batch;
-          e.noop = exec.pipelining_is_noop(batch);
           e.seq_loop_ms = time_ms_min(repeats, [&] {
             for (const MatrixF& x : inputs)
               sink = sink + engine.run_network(x)(0, 0);
@@ -219,17 +159,11 @@ int main(int argc, char** argv) {
           e.seq_batch_ms = time_ms_min(repeats, [&] {
             sink = sink + engine.run_network_batch(inputs)[0](0, 0);
           });
-          e.pipe_ms = time_ms_min(repeats, [&] {
-            sink = sink + exec.run_batch(inputs)[0](0, 0);
-          });
-          std::fprintf(
-              stderr,
-              "[%s] threads %zu  kv %5zu  batch %3zu%s  loop %9.4f ms  "
-              "batched %8.4f ms  pipe %9.4f ms  speedup %.3fx (vs batched "
-              "%.3fx)\n",
-              label.c_str(), threads, static_cast<std::size_t>(kv), batch,
-              e.noop ? "*" : " ", e.seq_loop_ms, e.seq_batch_ms, e.pipe_ms,
-              e.speedup(), e.speedup_vs_batch());
+          std::fprintf(stderr,
+                       "[%s] threads %zu  kv %5zu  batch %3zu  loop %9.4f ms  "
+                       "batched %8.4f ms  speedup %.3fx\n",
+                       label.c_str(), threads, static_cast<std::size_t>(kv),
+                       batch, e.seq_loop_ms, e.seq_batch_ms, e.speedup());
           r.entries.push_back(e);
         }
       }
@@ -242,7 +176,7 @@ int main(int argc, char** argv) {
     std::perror("decode_loop: cannot open output");
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-decode-v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-decode-v2\",\n");
   std::fprintf(f, "  \"workload\": \"decode_step\",\n");
   std::fprintf(f, "  \"hidden\": %zu,\n", static_cast<std::size_t>(kHidden));
   std::fprintf(f, "  \"config\": \"2:4\",\n");
@@ -251,20 +185,16 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"kernel_sets\": [\n");
   for (std::size_t s = 0; s < results.size(); ++s) {
     const auto& r = results[s];
-    std::fprintf(f,
-                 "    {\"kernels\": \"%s\", \"dense_kernel\": \"%s\", "
-                 "\"nm_kernel\": \"%s\",\n     \"entries\": [\n",
-                 r.label.c_str(), r.dense_kernel.c_str(), r.nm_kernel.c_str());
+    std::fprintf(f, "    {\"kernels\": \"%s\",\n     \"entries\": [\n",
+                 r.label.c_str());
     for (std::size_t i = 0; i < r.entries.size(); ++i) {
       const auto& e = r.entries[i];
       std::fprintf(f,
                    "      {\"threads\": %zu, \"kv\": %zu, \"batch\": %zu, "
-                   "\"noop\": %s, \"seq_loop_ms\": %.6f, "
-                   "\"seq_batch_ms\": %.6f, \"pipe_ms\": %.6f, "
-                   "\"speedup\": %.6f, \"speedup_vs_batch\": %.6f}%s\n",
+                   "\"seq_loop_ms\": %.6f, \"seq_batch_ms\": %.6f, "
+                   "\"speedup\": %.6f}%s\n",
                    e.threads, static_cast<std::size_t>(e.kv), e.batch,
-                   e.noop ? "true" : "false", e.seq_loop_ms, e.seq_batch_ms,
-                   e.pipe_ms, e.speedup(), e.speedup_vs_batch(),
+                   e.seq_loop_ms, e.seq_batch_ms, e.speedup(),
                    i + 1 < r.entries.size() ? "," : "");
     }
     std::fprintf(f, "     ]}%s\n", s + 1 < results.size() ? "," : "");

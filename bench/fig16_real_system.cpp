@@ -35,17 +35,14 @@ int main() {
   rt::CompileOptions opt;
   opt.n_divisor = 8;  // shrink N to keep measurements fast; ratios hold
   opt.measure.repeats = 3;
-  // Pin the scalar kernel pair: both engines share one inner loop, so
-  // the measured ratio isolates the paper's variable (every-MAC dense vs
-  // stored-values-only compressed). The AVX2 pair is a valid deployment
-  // but its dense kernel streams B better than the compressed kernel's
-  // scattered accesses, diluting the ratio with a microarchitectural
-  // effect Fig. 16's hardware does not have (see docs/reproducing.md;
-  // bench/serving_throughput reports both kernel sets).
-  opt.dense_kernel = "tiled-parallel";
-  opt.nm_kernel = "row-parallel";
-  opt.dense_batch_kernel = "batch-packed";
-  opt.nm_batch_kernel = "batch-packed";
+  // Pin the scalar family: both engines share one inner loop, so the
+  // measured ratio isolates the paper's variable (every-MAC dense vs
+  // stored-values-only compressed). The SIMD families are valid
+  // deployments but their dense cores stream B better than the
+  // compressed cores' scattered accesses, diluting the ratio with a
+  // microarchitectural effect Fig. 16's hardware does not have (see
+  // docs/reproducing.md; bench/serving_throughput reports every family).
+  opt.kernel_family = "scalar";
   const auto engine = rt::compile(net, configs, opt);
   const auto timings = engine.measure();
   const auto order = rt::conversion_order(timings);

@@ -1,9 +1,9 @@
 // Kernel microbenchmarks: dense vs N:M-compressed vs TASD-series GEMM
-// across the parallel execution layer's thread counts AND the registered
-// kernel implementations (scalar tiled vs AVX2/FMA side by side), plus
+// across the parallel execution layer's thread counts AND the kernel
+// families (scalar vs AVX2/FMA side by side), plus
 // decomposition and plan-cache throughput.
 //
-// Emits BENCH_kernels.json (schema tasd-bench-kernels-v3; see
+// Emits BENCH_kernels.json (schema tasd-bench-kernels-v4; see
 // docs/reproducing.md). Every parallel measurement is checked bit-exact
 // against the serial result of the *same* implementation before it is
 // recorded — a wrong-but-fast kernel fails loudly here. The AVX2 rows
@@ -35,7 +35,7 @@ using namespace tasd;
 
 struct Entry {
   std::string kernel;  ///< operation family: dense_gemm / nm_gemm / ...
-  std::string impl;    ///< GemmDispatch kernel name executing it
+  std::string impl;    ///< kernel family executing it
   Index m = 0, k = 0, n = 0;
   std::string config;
   double sparsity = 0.0;
@@ -102,7 +102,7 @@ void write_json(const std::string& path, const std::vector<Entry>& entries) {
     std::perror("micro_kernels: cannot open output");
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-kernels-v3\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-kernels-v4\",\n");
   std::fprintf(f, "  \"avx2_available\": %s,\n",
                avx2_available() ? "true" : "false");
   std::fprintf(f, "  \"entries\": [\n");
@@ -125,17 +125,13 @@ void write_json(const std::string& path, const std::vector<Entry>& entries) {
   std::fclose(f);
 }
 
-/// Kernel implementations to sweep for one slot: the scalar parallel
-/// kernel first (it seeds the speedup_vs_scalar baseline), then the AVX2
-/// kernel when the registry has it.
-std::vector<std::string> impls_for(const std::vector<std::string>& registered,
-                                   const std::string& scalar,
-                                   const std::string& simd) {
-  std::vector<std::string> impls{scalar};
-  if (std::find(registered.begin(), registered.end(), simd) !=
-      registered.end())
-    impls.push_back(simd);
-  return impls;
+/// Families to sweep: scalar first (it seeds the speedup_vs_scalar
+/// baseline), then avx2 when this process can run it.
+std::vector<const rt::KernelFamily*> impls() {
+  std::vector<const rt::KernelFamily*> out{&rt::scalar_family()};
+  if (const rt::KernelFamily* avx2 = rt::find_family("avx2"))
+    out.push_back(avx2);
+  return out;
 }
 
 }  // namespace
@@ -159,11 +155,7 @@ int main(int argc, char** argv) {
   const std::vector<Index> gemm_sizes =
       quick ? std::vector<Index>{128, 256} : std::vector<Index>{256, 512, 1024};
 
-  auto& dispatch = rt::GemmDispatch::instance();
-  const auto dense_impls =
-      impls_for(dispatch.dense_kernels(), "tiled-parallel", "dense-avx2");
-  const auto nm_impls =
-      impls_for(dispatch.nm_kernels(), "row-parallel", "nm-avx2");
+  const auto families = impls();
 
   std::vector<Entry> entries;
   Rng rng(9001);
@@ -173,11 +165,11 @@ int main(int argc, char** argv) {
     const MatrixF a = random_dense(n, n, Dist::kNormalStd1, rng);
     const MatrixF b = random_dense(n, n, Dist::kNormalStd1, rng);
     std::map<std::size_t, double> scalar_ms;
-    for (const auto& impl : dense_impls)
-      sweep("dense_gemm", impl, n, n, n, "", 0.0,
+    for (const rt::KernelFamily* impl : families)
+      sweep("dense_gemm", impl->name, n, n, n, "", 0.0,
             2.0 * static_cast<double>(n) * n * n, repeats, thread_counts,
             [&](rt::ExecPolicy& p) {
-              p.dense_kernel = impl;
+              p.family = impl;
               return rt::dense_gemm(a, b, p);
             },
             &scalar_ms, entries);
@@ -190,11 +182,11 @@ int main(int argc, char** argv) {
     const sparse::NMSparseMatrix a = d.terms[0].compressed();
     const MatrixF b = random_dense(n, n, Dist::kNormalStd1, rng);
     std::map<std::size_t, double> scalar_ms;
-    for (const auto& impl : nm_impls)
-      sweep("nm_gemm", impl, n, n, n, "2:4", 0.5,
+    for (const rt::KernelFamily* impl : families)
+      sweep("nm_gemm", impl->name, n, n, n, "2:4", 0.5,
             2.0 * static_cast<double>(a.nnz()) * n, repeats, thread_counts,
             [&](rt::ExecPolicy& p) {
-              p.nm_kernel = impl;
+              p.family = impl;
               return rt::nm_gemm(a, b, p);
             },
             &scalar_ms, entries);
@@ -202,7 +194,7 @@ int main(int argc, char** argv) {
 
   // TASD-series GEMM (4:8+1:8) over a 90 %-sparse operand, executed from
   // a cached DecompositionPlan exactly the way the engine runs it; the
-  // series' term loop routes through the selected N:M kernel.
+  // series' term loop routes through the selected family's N:M entry.
   for (Index n : gemm_sizes) {
     const MatrixF dense =
         random_unstructured(n, n, 0.1, Dist::kNormalStd1, rng);
@@ -211,12 +203,12 @@ int main(int argc, char** argv) {
     const rt::TasdSeriesGemm series(plan);
     const MatrixF b = random_dense(n, n, Dist::kNormalStd1, rng);
     std::map<std::size_t, double> scalar_ms;
-    for (const auto& impl : nm_impls)
-      sweep("tasd_gemm", impl, n, n, n, "4:8+1:8", 0.9,
+    for (const rt::KernelFamily* impl : families)
+      sweep("tasd_gemm", impl->name, n, n, n, "4:8+1:8", 0.9,
             2.0 * static_cast<double>(series.nnz()) * n, repeats,
             thread_counts,
             [&](rt::ExecPolicy& p) {
-              p.nm_kernel = impl;
+              p.family = impl;
               return series.multiply(b, p);
             },
             &scalar_ms, entries);

@@ -6,9 +6,9 @@
 // through the packed batch kernels, which amortize per-k-step overhead
 // over the whole batch — the queries/sec gain over batch-1 is the
 // serving story (DeepSparse-style CPU runtimes, 2:4 tensor-core serving).
-// The sweep runs once per kernel set — the pinned scalar kernels and,
-// when the CPU supports them, the AVX2/FMA kernels — so the JSON records
-// scalar vs SIMD serving throughput side by side.
+// The sweep runs once per available kernel family — scalar and, when
+// the CPU supports them, avx2, avx512 and gemv-avx512 — so the JSON
+// records scalar vs SIMD serving throughput side by side.
 //
 // A second, open-loop section drives the dynamic-batching ServingEngine
 // with timed arrival traces (Poisson and bursty) at offered loads set
@@ -18,7 +18,7 @@
 // unbounded queueing, so the JSON records the engine's degradation
 // curve (achieved qps, percentile latency, per-status counts).
 //
-// Emits BENCH_serving.json (schema tasd-bench-serving-v3; see
+// Emits BENCH_serving.json (schema tasd-bench-serving-v4; see
 // docs/reproducing.md and docs/serving.md). Before timing, every
 // layer's batched TASD output is checked bit-exact (`==`) against
 // looping the single-RHS multiply of the same artifact — a
@@ -48,16 +48,15 @@ using namespace tasd;
 
 /// Batched outputs == per-RHS loops, for every layer of the compiled
 /// artifact at one probe batch size: run_batch vs run for the bound
-/// (TASD) kernels, plus the artifact's dense batch kernel vs its dense
-/// single-RHS kernel on the same weights (one rounding family per
-/// artifact — the policy carries the resolved kernel names).
+/// (TASD) kernels, plus the layer family's dense entry batched vs looped
+/// on the same weights.
 bool verify_bit_exact(const rt::CompiledNetwork& engine, std::size_t batch,
                       Index query_cols) {
   Rng rng(7001);
-  const rt::ExecPolicy policy = engine.policy();
   bool ok = true;
   for (std::size_t i = 0; i < engine.layer_count(); ++i) {
     const auto& layer = engine.layer(i);
+    const rt::ExecPolicy policy = engine.layer_policy(i);
     std::vector<MatrixF> bs;
     for (std::size_t q = 0; q < batch; ++q)
       bs.push_back(random_dense(layer.k, query_cols, Dist::kNormalStd1, rng));
@@ -80,9 +79,7 @@ bool verify_bit_exact(const rt::CompiledNetwork& engine, std::size_t batch,
 }
 
 struct KernelSetResult {
-  std::string label;         ///< "scalar" | "avx2"
-  std::string dense_kernel;  ///< resolved registry names
-  std::string nm_kernel;
+  std::string label;  ///< kernel family name
   Index plan_bytes = 0;
   Index artifact_bytes = 0;  ///< full replica footprint (weights + plans)
   double scaling_b16_over_b1 = 0.0;
@@ -216,44 +213,16 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::size_t>{1, 16}
             : std::vector<std::size_t>{1, 4, 16, 64};
 
-  // One artifact per kernel set; compiling both reuses every plan
-  // through the PlanCache, so the second compile decomposes nothing.
+  // One artifact per kernel family; compiling them all reuses every
+  // plan through the PlanCache, so only the first compile decomposes.
+  rt::CompileOptions base;
+  base.query_cols = 1;
+  base.measure.repeats = quick ? 1 : 3;
   std::vector<std::pair<std::string, rt::CompileOptions>> kernel_sets;
-  {
-    rt::CompileOptions scalar;
-    scalar.query_cols = 1;
-    scalar.measure.repeats = quick ? 1 : 3;
-    scalar.dense_kernel = "tiled-parallel";
-    scalar.nm_kernel = "row-parallel";
-    scalar.dense_batch_kernel = "batch-packed";
-    scalar.nm_batch_kernel = "batch-packed";
-    kernel_sets.emplace_back("scalar", scalar);
-    // Gate on registry membership, not *_available(): a toolchain whose
-    // compiler rejects -mavx2/-mavx512f builds no SIMD kernels even on
-    // capable hardware, and compiling an unregistered name would throw.
-    // (best_dense() no longer works as the gate — on an AVX-512 host it
-    // names the avx512 kernel, which must not hide the avx2 set.)
-    const auto dense_names = rt::GemmDispatch::instance().dense_kernels();
-    const auto registered = [&](const char* name) {
-      return std::find(dense_names.begin(), dense_names.end(), name) !=
-             dense_names.end();
-    };
-    if (registered("dense-avx2")) {
-      rt::CompileOptions simd = scalar;
-      simd.dense_kernel = "dense-avx2";
-      simd.nm_kernel = "nm-avx2";
-      simd.dense_batch_kernel = "dense-batch-avx2";
-      simd.nm_batch_kernel = "nm-batch-avx2";
-      kernel_sets.emplace_back("avx2", simd);
-    }
-    if (registered("dense-avx512")) {
-      rt::CompileOptions simd = scalar;
-      simd.dense_kernel = "dense-avx512";
-      simd.nm_kernel = "nm-avx512";
-      simd.dense_batch_kernel = "dense-batch-avx512";
-      simd.nm_batch_kernel = "nm-batch-avx512";
-      kernel_sets.emplace_back("avx512", simd);
-    }
+  for (const rt::KernelFamily* family : rt::kernel_families()) {
+    rt::CompileOptions opt = base;
+    opt.kernel_family = family->name;
+    kernel_sets.emplace_back(family->name, opt);
   }
 
   std::vector<KernelSetResult> results;
@@ -290,8 +259,6 @@ int main(int argc, char** argv) {
                  batch_sizes.size());
     KernelSetResult r;
     r.label = label;
-    r.dense_kernel = engine.options().dense_kernel;
-    r.nm_kernel = engine.options().nm_kernel;
     r.plan_bytes = engine.plan_bytes();
     r.artifact_bytes = engine.artifact_bytes();
     r.entries = engine.serving_throughput(batch_sizes);
@@ -310,11 +277,12 @@ int main(int argc, char** argv) {
     results.push_back(std::move(r));
   }
 
-  // Open-loop ServingEngine section, on the best available kernel set.
-  // Capacity is probed as the engine's own batched service rate (16
-  // queries per run_batch), so "1.5x load" is a true overload no matter
-  // how much batching helps.
-  const rt::CompileOptions& ol_opt = kernel_sets.back().second;
+  // Open-loop ServingEngine section, on the "auto" binding (the family
+  // a default compile picks for the layer's width). Capacity is probed
+  // as the engine's own batched service rate (16 queries per
+  // run_batch), so "1.5x load" is a true overload no matter how much
+  // batching helps.
+  const rt::CompileOptions& ol_opt = base;
   std::fprintf(stderr, "[open-loop] probing batched capacity...\n");
   const auto probe =
       rt::compile(open_loop_net(), {TasdConfig::parse("2:4")}, ol_opt);
@@ -354,7 +322,7 @@ int main(int argc, char** argv) {
     std::perror("serving_throughput: cannot open output");
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-serving-v3\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-serving-v4\",\n");
   std::fprintf(f, "  \"workload\": \"%s\",\n", net.name.c_str());
   std::fprintf(f, "  \"config\": \"2:4\",\n");
   std::fprintf(f, "  \"query_cols\": 1,\n");
@@ -362,10 +330,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"kernel_sets\": [\n");
   for (std::size_t s = 0; s < results.size(); ++s) {
     const auto& r = results[s];
-    std::fprintf(f, "    {\"kernels\": \"%s\", \"dense_kernel\": \"%s\", ",
-                 r.label.c_str(), r.dense_kernel.c_str());
-    std::fprintf(f, "\"nm_kernel\": \"%s\", \"plan_bytes\": %zu, ",
-                 r.nm_kernel.c_str(), static_cast<std::size_t>(r.plan_bytes));
+    std::fprintf(f, "    {\"kernels\": \"%s\", \"plan_bytes\": %zu, ",
+                 r.label.c_str(), static_cast<std::size_t>(r.plan_bytes));
     std::fprintf(f, "\"artifact_bytes\": %zu,\n",
                  static_cast<std::size_t>(r.artifact_bytes));
     std::fprintf(f, "     \"tasd_qps_batch16_over_batch1\": %.6f,\n",
@@ -385,8 +351,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"open_loop\": {\n");
   std::fprintf(f, "    \"workload\": \"open-loop-2to4\",\n");
-  std::fprintf(f, "    \"kernels\": \"%s\",\n",
-               kernel_sets.back().first.c_str());
+  std::fprintf(f, "    \"kernels\": \"%s\",\n", probe.layer(0).kernel.c_str());
   std::fprintf(f, "    \"capacity_probe_qps\": %.2f,\n", capacity_qps);
   std::fprintf(f, "    \"requests_per_trace\": %zu,\n", ol_requests);
   std::fprintf(f,

@@ -1,5 +1,6 @@
 #include "artifact/artifact.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <utility>
 
@@ -79,23 +80,19 @@ void write_tuning(const TuningResult& tuning, io::ByteWriter& w) {
     w.bytes(s.data(), s.size());
     w.pad_to(8);
   };
-  const auto put_table = [&](const std::vector<TuneCandidate>& table) {
-    w.u64(table.size());
-    for (const auto& c : table) {
-      put_string(c.kernel);
-      w.f64(c.ms);
-    }
-  };
   put_string(tuning.host_signature);
   w.u64(tuning.layers.size());
   for (const auto& l : tuning.layers) {
     put_string(l.layer);
     w.u32(l.nm ? 1 : 0);
-    w.u32(0);  // reserved; keeps the candidate counts 8-aligned
-    put_table(l.single);
-    put_string(l.chosen_single);
-    put_table(l.batch);
-    put_string(l.chosen_batch);
+    w.u32(0);  // reserved; keeps the candidate count 8-aligned
+    w.u64(l.candidates.size());
+    for (const auto& c : l.candidates) {
+      put_string(c.family);
+      w.f64(c.single_ms);
+      w.f64(c.batch_ms);
+    }
+    put_string(l.chosen);
   }
 }
 
@@ -335,10 +332,10 @@ detail::PreboundLayer read_section(std::span<const unsigned char> bytes,
 
 /// Deserialize the tuning section (CRC already verified by the caller).
 /// Throws kInternal on any structural inconsistency — including a chosen
-/// kernel name missing from its own candidate table, the "silent
-/// mis-binding" a corrupted section must never cause. Whether the result
-/// *transfers* to this host (signature, registered kernels) is decided
-/// later by detail::apply_tuning, not here.
+/// family missing from its own candidate table, the "silent mis-binding"
+/// a corrupted section must never cause. Whether the result *transfers*
+/// to this host (signature, available families) is decided later by
+/// detail::apply_tuning, not here.
 TuningResult read_tuning(std::span<const unsigned char> bytes,
                          std::uint32_t layer_count, const std::string& path) {
   io::ByteReader r(bytes, "artifact '" + path + "' tuning section");
@@ -351,27 +348,6 @@ TuningResult read_tuning(std::span<const unsigned char> bytes,
     r.bytes(s.data(), len);
     r.skip_pad(8);
     return s;
-  };
-  const auto get_table = [&](const char* what) {
-    const std::uint64_t count = r.u64();
-    if (count > 4096)
-      fail_corrupt(path, "tuning section claims an implausible " +
-                             std::string(what) + " candidate count");
-    std::vector<TuneCandidate> table;
-    table.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      TuneCandidate c;
-      c.kernel = get_string("candidate kernel name");
-      c.ms = r.f64();
-      table.push_back(std::move(c));
-    }
-    return table;
-  };
-  const auto chosen_in = [&](const std::vector<TuneCandidate>& table,
-                             const std::string& chosen) {
-    for (const auto& c : table)
-      if (c.kernel == chosen) return true;
-    return false;
   };
 
   TuningResult tuning;
@@ -387,14 +363,25 @@ TuningResult read_tuning(std::span<const unsigned char> bytes,
     lt.layer = get_string("layer name");
     lt.nm = r.u32() != 0;
     (void)r.u32();  // reserved
-    lt.single = get_table("single-RHS");
-    lt.chosen_single = get_string("chosen kernel name");
-    lt.batch = get_table("batch");
-    lt.chosen_batch = get_string("chosen kernel name");
-    if (!chosen_in(lt.single, lt.chosen_single) ||
-        !chosen_in(lt.batch, lt.chosen_batch))
+    const std::uint64_t count = r.u64();
+    if (count > 4096)
+      fail_corrupt(path, "tuning section claims an implausible candidate "
+                         "count");
+    lt.candidates.reserve(count);
+    for (std::uint64_t c = 0; c < count; ++c) {
+      TuneCandidate cand;
+      cand.family = get_string("candidate family name");
+      cand.single_ms = r.f64();
+      cand.batch_ms = r.f64();
+      lt.candidates.push_back(std::move(cand));
+    }
+    lt.chosen = get_string("chosen family name");
+    if (std::none_of(lt.candidates.begin(), lt.candidates.end(),
+                     [&](const TuneCandidate& c) {
+                       return c.family == lt.chosen;
+                     }))
       fail_corrupt(path, "tuning section layer " + std::to_string(i) +
-                             " chose a kernel outside its candidate table");
+                             " chose a family outside its candidate table");
     tuning.layers.push_back(std::move(lt));
   }
   if (r.remaining() != 0)
@@ -536,7 +523,7 @@ CompiledNetwork load_artifact(const std::string& path,
   }
   // Deserialize the tuning section (when present and CRC-clean) and let
   // assemble_network decide whether it transfers to this host: binding
-  // restored on a signature match, best_*() re-resolution (or a fresh
+  // restored on a signature match, static re-resolution (or a fresh
   // autotune under kAutotune) otherwise. Either way: zero decompositions.
   std::optional<TuningResult> tuning;
   if (toc.tuning_offset != 0) {

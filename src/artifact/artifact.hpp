@@ -13,14 +13,15 @@
 // PlanCache (so later rt::compile() calls on the same weights hit too)
 // and assembles a fully bound CompiledNetwork.
 //
-// Kernel bindings: a statically-bound network stores no kernel names —
-// they re-resolve through GemmDispatch::best_*() on the loading host, so
-// an artifact saved on an AVX2 machine binds the scalar kernels on a
+// Kernel bindings: a statically-bound network stores no kernel family —
+// each layer re-resolves through best_family() on the loading host, so
+// an artifact saved on an AVX2 machine binds the scalar family on a
 // machine without AVX2 and executes identically (term buffers are
-// kernel-independent). An *autotuned* network additionally stores its
-// TuningResult in a trailing tuning section, keyed by the measuring
-// host's CPU signature: load restores the per-layer binding verbatim
-// when tasd::cpu_signature() matches and falls back to the best_*()
+// family-independent). An *autotuned* network additionally stores its
+// TuningResult (format version 2: one chosen family per layer) in a
+// trailing tuning section, keyed by the measuring host's CPU signature:
+// load restores the per-layer binding verbatim when
+// tasd::cpu_signature() matches and falls back to the static
 // re-resolution (or re-tunes, when loaded with kAutotune) when it
 // doesn't — never a stale binding from foreign hardware.
 //

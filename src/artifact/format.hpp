@@ -12,8 +12,9 @@
 //            content fingerprint)
 //   tuning   optional trailing section, 64-byte aligned, CRC'd (the
 //            header stores its crc/offset/size in the former reserved
-//            bytes): the serialized per-layer TuningResult plus the
-//            host CPU signature it was measured under
+//            bytes): the serialized per-layer TuningResult (one chosen
+//            kernel family per layer) plus the host CPU signature it was
+//            measured under
 //
 // The fixed-width, aligned layout is deliberately mmap-friendly: every
 // integer field sits at a natural alignment, sections start on cache-
@@ -34,7 +35,9 @@
 namespace tasd::artifact {
 
 inline constexpr char kMagic[8] = {'T', 'A', 'S', 'D', 'A', 'R', 'T', '1'};
-inline constexpr std::uint32_t kVersion = 1;
+/// Version 2: the tuning section stores one kernel family per layer
+/// (version 1 stored separate single-RHS and batch kernel names).
+inline constexpr std::uint32_t kVersion = 2;
 
 /// Fixed header size; the name bytes follow it.
 inline constexpr std::size_t kHeaderBytes = 64;

@@ -3,8 +3,8 @@
 // The AVX2/FMA and AVX-512 GEMM kernels (src/runtime/kernels_avx2.cpp,
 // src/runtime/kernels_avx512.cpp) are compiled with their ISA flags
 // whenever the compiler supports them, but executing them is gated here
-// at runtime: GemmDispatch registers each family only when the matching
-// *_available() says so — CPUID reports the ISA, the OS saves the
+// at runtime: rt::kernel_families() lists each family only when the
+// matching *_available() says so — CPUID reports the ISA, the OS saves the
 // register state (YMM for AVX2, ZMM/opmask for AVX-512), and the
 // operator did not force a fallback with TASD_DISABLE_AVX2 /
 // TASD_DISABLE_AVX512. That split keeps one binary correct on every x86
@@ -51,13 +51,13 @@ bool avx2_enabled(const CpuFeatures& features, bool disabled_by_env);
 bool avx2_disabled_by_env();
 
 /// Cached process-wide answer combining detect_cpu_features() and
-/// TASD_DISABLE_AVX2 — what GemmDispatch consults at registry
-/// construction.
+/// TASD_DISABLE_AVX2 — what rt::kernel_families() consults when it
+/// builds the family list.
 bool avx2_available();
 
 /// Pure selection policy for the AVX-512 kernels, mirror of
 /// avx2_enabled(). Independent of the AVX2 knobs: disabling AVX2 alone
-/// leaves AVX-512 kernels registered (and vice versa), so CI can pin any
+/// leaves the AVX-512 families listed (and vice versa), so CI can pin any
 /// single family.
 bool avx512_enabled(const CpuFeatures& features, bool disabled_by_env);
 

@@ -163,85 +163,6 @@ void ThreadPool::parallel_for(
   }
 }
 
-TaskGraph::TaskId TaskGraph::add(std::function<void()> fn,
-                                 const std::vector<TaskId>& deps) {
-  TASD_CHECK_MSG(!ran_, "TaskGraph is single-use; add() after run()");
-  const TaskId id = nodes_.size();
-  // Validate before mutating: a rejected add must leave the graph as it
-  // was (no node with a dependency that will never be released).
-  for (const TaskId dep : deps) {
-    TASD_CHECK_MSG(dep < id, "task " << id << " depends on task " << dep
-                                     << ", which has not been added yet");
-  }
-  Node node;
-  node.fn = std::move(fn);
-  node.unmet_deps = deps.size();
-  nodes_.push_back(std::move(node));
-  for (const TaskId dep : deps) nodes_[dep].successors.push_back(id);
-  return id;
-}
-
-void TaskGraph::run(ThreadPool& pool) {
-  TASD_CHECK_MSG(!ran_, "TaskGraph is single-use; run() already called");
-  ran_ = true;
-  if (nodes_.empty()) return;
-
-  // Shared scheduling state. Workers claim ready tasks under the mutex,
-  // execute them unlocked, then release successors. Because every
-  // dependency precedes its dependents (deps < id), whenever unfinished
-  // tasks remain either one is ready or one is in flight — so the wait
-  // below always terminates.
-  struct Sched {
-    Mutex mutex;
-    CondVar ready_cv;  ///< signaled when tasks become ready or all done
-    std::deque<TaskId> ready TASD_GUARDED_BY(mutex);
-    std::size_t done TASD_GUARDED_BY(mutex) = 0;
-    std::exception_ptr error TASD_GUARDED_BY(mutex);
-  } sched;
-  const std::size_t total = nodes_.size();
-  {
-    MutexLock lock(sched.mutex);
-    for (TaskId id = 0; id < nodes_.size(); ++id)
-      if (nodes_[id].unmet_deps == 0) sched.ready.push_back(id);
-  }
-
-  const std::size_t workers = std::min(pool.num_threads(), total);
-  pool.parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
-    MutexLock lock(sched.mutex);
-    for (;;) {
-      while (sched.ready.empty() && sched.done != total)
-        sched.ready_cv.wait(sched.mutex);
-      if (sched.ready.empty()) return;  // done == total
-      const TaskId id = sched.ready.front();
-      sched.ready.pop_front();
-      // After a failure the remaining tasks are skipped, not executed;
-      // their successors are still released so done reaches total.
-      const bool skip = sched.error != nullptr;
-      if (!skip) {
-        lock.unlock();
-        try {
-          nodes_[id].fn();
-          lock.lock();
-        } catch (...) {
-          lock.lock();
-          if (!sched.error) sched.error = std::current_exception();
-        }
-      }
-      ++sched.done;
-      for (const TaskId succ : nodes_[id].successors)
-        if (--nodes_[succ].unmet_deps == 0) sched.ready.push_back(succ);
-      if (sched.done == total || !sched.ready.empty())
-        sched.ready_cv.notify_all();
-    }
-  });
-  std::exception_ptr error;
-  {
-    MutexLock lock(sched.mutex);
-    error = sched.error;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
 std::size_t default_num_threads() {
   static const std::size_t cached = [] {
     if (const char* env = std::getenv("TASD_NUM_THREADS")) {

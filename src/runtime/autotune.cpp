@@ -22,26 +22,9 @@ TuneTimer& timer_hook() {
   return hook;
 }
 
-/// Pick the fastest candidate; ties break toward the first name in table
-/// order (the tables are built from the registry's sorted name lists, so
-/// the choice is deterministic under identical timings — what the fake-
-/// timer CI test pins).
-const TuneCandidate& winner(const std::vector<TuneCandidate>& table) {
-  TASD_CHECK_MSG(!table.empty(), "autotune candidate table is empty");
-  const auto it = std::min_element(
-      table.begin(), table.end(),
-      [](const TuneCandidate& a, const TuneCandidate& b) { return a.ms < b.ms; });
-  return *it;
-}
-
 }  // namespace
 
 void set_autotune_timer(TuneTimer hook) { timer_hook() = std::move(hook); }
-
-bool autotune_candidate(const std::string& kernel) {
-  return kernel != "serial" && kernel != "tiled-serial" &&
-         kernel != "reference" && kernel != "batch-loop";
-}
 
 const LayerTuning* TuningResult::find(const std::string& layer) const {
   for (const auto& l : layers)
@@ -52,9 +35,7 @@ const LayerTuning* TuningResult::find(const std::string& layer) const {
 namespace detail {
 
 TuningResult run_autotune(CompiledNetwork& net) {
-  const auto& dispatch = GemmDispatch::instance();
   const CompileOptions& opt = net.options();
-  const ExecPolicy base = net.policy();  // pool binding + fallback names
   const TuneTimer& hook = timer_hook();
 
   TuningResult result;
@@ -69,9 +50,9 @@ TuningResult run_autotune(CompiledNetwork& net) {
     lt.nm = l.series.has_value();
 
     // The tuning workloads mirror what the artifact will execute: the
-    // single-RHS slot at measure()'s shrunk width (the n_divisor story —
+    // single-RHS call at measure()'s shrunk width (the n_divisor story —
     // both engines scale linearly in N, so the shrink preserves the
-    // ranking), the batch slot at autotune_batch_hint serving queries of
+    // ranking), the batch call at autotune_batch_hint serving queries of
     // query_cols width each.
     const Index n_single = measured_n(l.n, opt.n_divisor);
     const MatrixF b = random_dense(l.k, n_single, Dist::kNormalStd1, rng);
@@ -80,43 +61,39 @@ TuningResult run_autotune(CompiledNetwork& net) {
     for (std::size_t q = 0; q < opt.autotune_batch_hint; ++q)
       bs.push_back(random_dense(l.k, opt.query_cols, Dist::kNormalStd1, rng));
 
-    const auto time_single = [&](const std::string& name) {
-      if (hook)
-        return hook({l.name, name, lt.nm, false, l.m, l.k, n_single, 0});
-      ExecPolicy p = base;
-      (lt.nm ? p.nm_kernel : p.dense_kernel) = name;
-      return time_ms_min(opt.measure.repeats, [&] {
-        const MatrixF c = lt.nm ? l.series->multiply(b, p)
-                                : dense_gemm(l.weight, b, p);
-        sink = sink + c(0, 0);
-      });
-    };
-    const auto time_batch = [&](const std::string& name) {
-      if (hook)
-        return hook({l.name, name, lt.nm, true, l.m, l.k, opt.query_cols,
-                     bs.size()});
-      ExecPolicy p = base;
-      (lt.nm ? p.nm_batch_kernel : p.dense_batch_kernel) = name;
-      return time_ms_min(opt.measure.repeats, [&] {
-        const auto cs = lt.nm ? l.series->multiply_batch(bs, p)
-                              : dense_gemm_batch(l.weight, bs, p);
-        sink = sink + cs[0](0, 0);
-      });
-    };
+    for (const KernelFamily* family : kernel_families()) {
+      const ExecPolicy p{net.pool_.get(), family};
+      TuneCandidate c;
+      c.family = family->name;
+      if (hook) {
+        c.single_ms =
+            hook({l.name, c.family, lt.nm, false, l.m, l.k, n_single, 0});
+        c.batch_ms = hook({l.name, c.family, lt.nm, true, l.m, l.k,
+                           opt.query_cols, bs.size()});
+      } else {
+        c.single_ms = time_ms_min(opt.measure.repeats, [&] {
+          const MatrixF out = lt.nm ? l.series->multiply(b, p)
+                                    : dense_gemm(l.weight, b, p);
+          sink = sink + out(0, 0);
+        });
+        c.batch_ms = time_ms_min(opt.measure.repeats, [&] {
+          const auto outs = lt.nm ? l.series->multiply_batch(bs, p)
+                                  : dense_gemm_batch(l.weight, bs, p);
+          sink = sink + outs[0](0, 0);
+        });
+      }
+      lt.candidates.push_back(std::move(c));
+    }
 
-    for (const auto& name :
-         lt.nm ? dispatch.nm_kernels() : dispatch.dense_kernels())
-      if (autotune_candidate(name))
-        lt.single.push_back({name, time_single(name)});
-    for (const auto& name : lt.nm ? dispatch.nm_batch_kernels()
-                                  : dispatch.dense_batch_kernels())
-      if (autotune_candidate(name))
-        lt.batch.push_back({name, time_batch(name)});
-
-    lt.chosen_single = winner(lt.single).kernel;
-    lt.chosen_batch = winner(lt.batch).kernel;
-    l.kernel = lt.chosen_single;
-    l.batch_kernel = lt.chosen_batch;
+    // Lowest sum wins; ties break toward table order (scalar first), so
+    // identical timings give a deterministic binding.
+    const auto best = std::min_element(
+        lt.candidates.begin(), lt.candidates.end(),
+        [](const TuneCandidate& a, const TuneCandidate& c) {
+          return a.total_ms() < c.total_ms();
+        });
+    lt.chosen = best->family;
+    l.bind(*kernel_families()[best - lt.candidates.begin()]);
     result.layers.push_back(std::move(lt));
   }
   return result;
@@ -124,33 +101,19 @@ TuningResult run_autotune(CompiledNetwork& net) {
 
 bool apply_tuning(CompiledNetwork& net, const TuningResult& tuning) {
   if (tuning.host_signature != cpu_signature()) return false;
-  const auto& dispatch = GemmDispatch::instance();
-  const auto dense_names = dispatch.dense_kernels();
-  const auto nm_names = dispatch.nm_kernels();
-  const auto dense_batch_names = dispatch.dense_batch_kernels();
-  const auto nm_batch_names = dispatch.nm_batch_kernels();
-  const auto registered = [](const std::vector<std::string>& names,
-                             const std::string& name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
-  };
-
   // All-or-nothing: validate every layer before touching any binding, so
   // a result that only half-transfers never leaves a mixed state.
-  std::vector<const LayerTuning*> found;
-  found.reserve(net.layers_.size());
+  std::vector<const KernelFamily*> chosen;
+  chosen.reserve(net.layers_.size());
   for (const auto& l : net.layers_) {
     const LayerTuning* lt = tuning.find(l.name);
     if (lt == nullptr || lt->nm != l.series.has_value()) return false;
-    if (!registered(lt->nm ? nm_names : dense_names, lt->chosen_single) ||
-        !registered(lt->nm ? nm_batch_names : dense_batch_names,
-                    lt->chosen_batch))
-      return false;
-    found.push_back(lt);
+    const KernelFamily* family = find_family(lt->chosen);
+    if (family == nullptr) return false;
+    chosen.push_back(family);
   }
-  for (std::size_t i = 0; i < net.layers_.size(); ++i) {
-    net.layers_[i].kernel = found[i]->chosen_single;
-    net.layers_[i].batch_kernel = found[i]->chosen_batch;
-  }
+  for (std::size_t i = 0; i < net.layers_.size(); ++i)
+    net.layers_[i].bind(*chosen[i]);
   net.tuning_ = tuning;
   return true;
 }

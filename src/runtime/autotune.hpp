@@ -1,26 +1,26 @@
-// Per-layer kernel autotuning (ROADMAP item 4): make rt::compile pick
-// each layer's kernel by measurement instead of the static best_*()
-// chain. PR 5's benches showed the fastest kernel is a function of
-// (shape, batch, threads) — dense-avx2 out-serves 2:4 at GEMV widths
-// while TASD wins at wider N — and SparseRT (PAPERS.md) shows the win of
-// ahead-of-time per-matrix specialization; the GemmDispatch registry's
-// bit-exactness contracts are what make the candidates interchangeable.
+// Per-layer kernel-family autotuning: make rt::compile pick each layer's
+// family by measurement instead of the static best_family() chain. The
+// fastest family is a function of (shape, batch, threads) — the wide
+// SIMD tile cores win at wide N, the GEMV family at decode widths — and
+// SparseRT (PAPERS.md) shows the win of ahead-of-time per-matrix
+// specialization.
 //
 // When CompileOptions::kernel_policy == KernelPolicy::kAutotune,
-// assemble_network micro-benches every candidate (autotune_candidate())
-// of each layer's slot pair (single-RHS at the measured width, batch at
-// the batch hint) on the compiling host — min-of-N with an untimed warmup
-// via time_ms_min — binds the per-layer winner, and records the full
-// TuningResult (candidate tables, timings, chosen names, host CPU
-// signature) on the CompiledNetwork. save_artifact serializes the
-// result into a TASDART1 tuning section; load_artifact restores the
-// binding when tasd::cpu_signature() matches and falls back to best_*()
-// re-resolution when it doesn't (see docs/artifact.md).
+// assemble_network times every available family (kernel_families()) on
+// each layer's two workloads — the single-RHS call at the measured
+// width and the batch call at the batch hint — on the compiling host
+// (min-of-N with an untimed warmup via time_ms_min), binds the family
+// with the lowest sum, and records the full TuningResult (candidate
+// tables, timings, chosen family, host CPU signature) on the
+// CompiledNetwork. One family per layer serves both calls, so a tuned
+// layer's run_batch() is bit-identical to looping its run(). save_artifact
+// serializes the result into the artifact's tuning section;
+// load_artifact restores the binding when tasd::cpu_signature() matches
+// and falls back to best_family() when it doesn't (docs/artifact.md).
 //
-// Correctness is unaffected by construction: candidates within a
-// rounding family are bitwise interchangeable and across families agree
-// to float tolerance (docs/kernels.md), so an autotuned network differs
-// from a statically-bound one at most by family rounding.
+// Correctness is unaffected by construction: families agree to float
+// tolerance (docs/kernels.md), so an autotuned network differs from a
+// statically-bound one at most by family rounding.
 #pragma once
 
 #include <functional>
@@ -33,24 +33,26 @@ namespace tasd::rt {
 
 class CompiledNetwork;
 
-/// One micro-benched candidate: a registered kernel name and its
-/// min-of-N time on this layer's tuning workload.
+/// One timed family: its min-of-N times on this layer's single-RHS and
+/// batch workloads.
 struct TuneCandidate {
-  std::string kernel;
-  double ms = 0.0;
+  std::string family;
+  double single_ms = 0.0;
+  double batch_ms = 0.0;
+
+  /// What the tuner minimizes: the layer serves both calls.
+  [[nodiscard]] double total_ms() const { return single_ms + batch_ms; }
 };
 
-/// Tuning record of one layer: the full candidate tables (so benches and
-/// artifacts can report *why* a kernel won, not just which) and the
-/// chosen names for the single-RHS and batch slots.
+/// Tuning record of one layer: the full candidate table (so benches and
+/// artifacts can report *why* a family won, not just which) and the
+/// chosen family.
 struct LayerTuning {
   std::string layer;
-  bool nm = false;  ///< candidates come from the N:M slots (layer has a
-                    ///< bound series) rather than the dense slots
-  std::vector<TuneCandidate> single;
-  std::vector<TuneCandidate> batch;
-  std::string chosen_single;
-  std::string chosen_batch;
+  bool nm = false;  ///< candidates timed the N:M entries (layer has a
+                    ///< bound series) rather than the dense entries
+  std::vector<TuneCandidate> candidates;
+  std::string chosen;
 };
 
 /// A whole network's tuning: per-layer records plus the host signature
@@ -64,22 +66,15 @@ struct TuningResult {
   [[nodiscard]] const LayerTuning* find(const std::string& layer) const;
 };
 
-/// Whether autotune times `kernel`: every registered name except the
-/// single-threaded and oracle kernels ("serial", "tiled-serial",
-/// "reference", "batch-loop"). Those stay registered for tests and
-/// explicit pins, but a one-thread scalar kernel can only win a timing
-/// on noise.
-bool autotune_candidate(const std::string& kernel);
-
 /// What one timer invocation measured — handed to the override hook so a
 /// fake timer can key its answer on everything the real one depends on.
 struct TuneMeasurement {
   std::string layer;
-  std::string kernel;
-  bool nm = false;     ///< N:M slot (vs dense slot)
-  bool batch = false;  ///< batch slot (vs single-RHS slot)
+  std::string family;
+  bool nm = false;     ///< N:M entry (vs dense entry)
+  bool batch = false;  ///< batch workload (vs single-RHS workload)
   Index m = 0, k = 0, n = 0;   ///< timed operand shape (n = RHS width)
-  std::size_t batch_items = 0;  ///< batch-slot item count (0 for single)
+  std::size_t batch_items = 0;  ///< batch item count (0 for single)
 };
 
 /// Measurement override: when set, autotune calls the hook instead of
@@ -93,15 +88,15 @@ void set_autotune_timer(TuneTimer hook);
 
 namespace detail {
 
-/// Micro-bench every registered candidate for every layer of `net`,
-/// rebind each layer to its winners, and return the full record. Called
-/// by assemble_network under kAutotune; requires the layers to be bound.
+/// Time every available family for every layer of `net`, rebind each
+/// layer to its winner, and return the full record. Called by
+/// assemble_network under kAutotune; requires the layers to be bound.
 TuningResult run_autotune(CompiledNetwork& net);
 
 /// Rebind `net`'s layers from a deserialized tuning result. Returns
 /// false — leaving the static binding untouched — when the result does
 /// not transfer to this process: host signature mismatch, layer set
-/// mismatch, or a chosen kernel that is not registered here.
+/// mismatch, or a chosen family that is not available here.
 bool apply_tuning(CompiledNetwork& net, const TuningResult& tuning);
 
 }  // namespace detail

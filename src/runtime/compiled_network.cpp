@@ -86,31 +86,8 @@ Index CompiledNetwork::artifact_bytes() const {
   return total;
 }
 
-ExecPolicy CompiledNetwork::policy() const {
-  ExecPolicy p;
-  p.pool = pool_.get();
-  p.dense_kernel = opt_.dense_kernel;
-  p.nm_kernel = opt_.nm_kernel;
-  p.dense_batch_kernel = opt_.dense_batch_kernel;
-  p.nm_batch_kernel = opt_.nm_batch_kernel;
-  return p;
-}
-
 ExecPolicy CompiledNetwork::layer_policy(std::size_t i) const {
-  const BoundLayer& l = layer(i);
-  ExecPolicy p = policy();
-  // Only the slot pair the layer executes is overridden: a configured
-  // layer runs its series through the N:M kernels, a dense layer runs
-  // dense_gemm. The other pair keeps the network-wide names (it is only
-  // reached by measure()'s explicit dense-vs-TASD comparison).
-  if (l.series) {
-    p.nm_kernel = l.kernel;
-    p.nm_batch_kernel = l.batch_kernel;
-  } else {
-    p.dense_kernel = l.kernel;
-    p.dense_batch_kernel = l.batch_kernel;
-  }
-  return p;
+  return {pool_.get(), layer(i).family};
 }
 
 void CompiledNetwork::validate_input(std::size_t layer_index,
@@ -143,7 +120,7 @@ MatrixF CompiledNetwork::run(std::size_t layer_index,
   const BoundLayer& l = layer(layer_index);
   validate_input(layer_index, input);
   fault::inject("rt.run", l.name);
-  const ExecPolicy p = layer_policy(layer_index);
+  const ExecPolicy p{pool_.get(), l.family};
   return l.series ? l.series->multiply(input, p)
                   : dense_gemm(l.weight, input, p);
 }
@@ -154,7 +131,7 @@ std::vector<MatrixF> CompiledNetwork::run_batch(
   for (std::size_t i = 0; i < inputs.size(); ++i)
     validate_input(layer_index, inputs[i], i);
   fault::inject("rt.run_batch", l.name);
-  const ExecPolicy p = layer_policy(layer_index);
+  const ExecPolicy p{pool_.get(), l.family};
   return l.series ? l.series->multiply_batch(inputs, p)
                   : dense_gemm_batch(l.weight, inputs, p);
 }
@@ -188,13 +165,14 @@ std::vector<MatrixF> CompiledNetwork::run_network_batch(
 
 std::vector<LayerTiming> CompiledNetwork::measure() const {
   Rng rng(opt_.measure.data_seed);
-  const ExecPolicy p = policy();
   std::vector<LayerTiming> out;
   out.reserve(layers_.size());
   volatile float sink = 0.0F;  // defeat dead-code elimination
   for (const auto& l : layers_) {
+    const ExecPolicy p{pool_.get(), l.family};
     LayerTiming t;
     t.name = l.name;
+    t.family = l.family->name;
     t.m = l.m;
     t.k = l.k;
     // Rounded division with a uniform floor of min(layer.n, n_divisor-1):
@@ -241,7 +219,6 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
 
 std::vector<ServingThroughput> CompiledNetwork::serving_throughput(
     const std::vector<std::size_t>& batch_sizes) const {
-  const ExecPolicy p = policy();
   std::vector<ServingThroughput> out;
   out.reserve(batch_sizes.size());
   volatile float sink = 0.0F;  // defeat dead-code elimination
@@ -251,6 +228,7 @@ std::vector<ServingThroughput> CompiledNetwork::serving_throughput(
     r.batch_size = batch;
     Rng rng(opt_.measure.data_seed + batch);
     for (const auto& l : layers_) {
+      const ExecPolicy p{pool_.get(), l.family};
       std::vector<MatrixF> bs;
       bs.reserve(batch);
       for (std::size_t q = 0; q < batch; ++q)
@@ -297,31 +275,27 @@ CompiledNetwork assemble_network(std::string name,
                                  const TuningResult* restored) {
   TASD_CHECK_MSG(opt.n_divisor >= 1, "n_divisor must be >= 1");
   TASD_CHECK_MSG(opt.query_cols >= 1, "query_cols must be >= 1");
-  // Kernel binding happens now, not at first execution: "auto" resolves
-  // through the registry's best_*() chain — network-wide at unknown
-  // width for options(), per layer at the layer's positions (the
-  // decode-width GEMV family for 1..kGemvMaxWidth, else the widest SIMD
-  // family, scalar last) — and every selected name is looked up so a
-  // misspelled or unregistered name fails at compile time with the
-  // registry's descriptive error. The artifact stores the *resolved*
-  // names: its kernel binding never changes after compile, even if the
-  // registry gains kernels later. (This is also why a serialized
-  // artifact stores no kernel names: a load re-enters this resolution on
-  // its own host, with the serialized positions.)
-  const auto& dispatch = GemmDispatch::instance();
+  // Family binding happens now, not at first execution: "auto" resolves
+  // per layer through best_family() at the layer's positions, and a
+  // named family is looked up once so a misspelled or unavailable name
+  // fails at compile time. run() and run_batch() then follow the bound
+  // pointer. (A serialized static artifact stores no family: a load
+  // re-enters this resolution on its own host, with the serialized
+  // positions.)
+  const bool auto_family = opt.kernel_family == "auto";
+  const KernelFamily* named =
+      auto_family ? nullptr : find_family(opt.kernel_family);
+  if (!auto_family && named == nullptr) {
+    std::string names;
+    for (const KernelFamily* f : kernel_families())
+      names += std::string(names.empty() ? "" : ", ") + f->name;
+    throw Error(Error::Code::kInvalidArgument,
+                "unknown or unavailable kernel family '" +
+                    opt.kernel_family + "' (available: auto, " + names + ")");
+  }
   CompiledNetwork cn;
   cn.name_ = std::move(name);
   cn.opt_ = opt;
-  if (cn.opt_.dense_kernel == "auto") cn.opt_.dense_kernel = dispatch.best_dense();
-  if (cn.opt_.nm_kernel == "auto") cn.opt_.nm_kernel = dispatch.best_nm();
-  if (cn.opt_.dense_batch_kernel == "auto")
-    cn.opt_.dense_batch_kernel = dispatch.best_dense_batch();
-  if (cn.opt_.nm_batch_kernel == "auto")
-    cn.opt_.nm_batch_kernel = dispatch.best_nm_batch();
-  (void)dispatch.dense(cn.opt_.dense_kernel);
-  (void)dispatch.nm(cn.opt_.nm_kernel);
-  (void)dispatch.dense_batch(cn.opt_.dense_batch_kernel);
-  (void)dispatch.nm_batch(cn.opt_.nm_batch_kernel);
   if (opt.measure.num_threads != 0)
     cn.pool_ = std::make_unique<ThreadPool>(opt.measure.num_threads);
   cn.layers_.reserve(layers.size());
@@ -360,28 +334,16 @@ CompiledNetwork assemble_network(std::string name,
       l.kept_nnz_fraction = static_cast<double>(l.series->nnz()) /
                             static_cast<double>(l.weight.size());
     }
-    // Per-layer binding: explicit names as resolved above, "auto" at
-    // this layer's width; the tuning paths below may rebind it.
-    if (l.series) {
-      l.kernel = opt.nm_kernel == "auto" ? dispatch.best_nm(l.n)
-                                         : cn.opt_.nm_kernel;
-      l.batch_kernel = opt.nm_batch_kernel == "auto"
-                           ? dispatch.best_nm_batch(l.n)
-                           : cn.opt_.nm_batch_kernel;
-    } else {
-      l.kernel = opt.dense_kernel == "auto" ? dispatch.best_dense(l.n)
-                                            : cn.opt_.dense_kernel;
-      l.batch_kernel = opt.dense_batch_kernel == "auto"
-                           ? dispatch.best_dense_batch(l.n)
-                           : cn.opt_.dense_batch_kernel;
-    }
+    // Static binding: the named family, or "auto" at this layer's
+    // width; the tuning paths below may rebind it.
+    l.bind(named ? *named : best_family(l.n));
     cn.layers_.push_back(std::move(l));
   }
   // Binding priority: a restored tuning that transfers to this host
   // (load path, zero re-measurement) > a fresh autotune when the caller
   // asked for one > the static resolution above. A restored result that
   // does NOT transfer is dropped, not partially applied — on a kStatic
-  // load that is exactly the "fall back to best_*() re-resolution"
+  // load that is exactly the "fall back to static re-resolution"
   // contract of docs/artifact.md.
   if (restored != nullptr && apply_tuning(cn, *restored)) return cn;
   if (cn.opt_.kernel_policy == KernelPolicy::kAutotune)

@@ -6,10 +6,11 @@
 // executes that artifact repeatedly.
 //
 // The artifact owns, per layer, the materialized weight, the bound kernel
-// (dense, or a TasdSeriesGemm over the layer's DecompositionPlan) and the
-// execution policy / thread-pool binding. Plans are prewarmed through the
-// process-wide PlanCache exactly once, at compile time: run(), run_batch(),
-// measure() and serving_throughput() never decompose anything.
+// (dense, or a TasdSeriesGemm over the layer's DecompositionPlan), the
+// layer's one resolved KernelFamily, and the thread-pool binding. Plans
+// are prewarmed through the process-wide PlanCache exactly once, at
+// compile time: run(), run_batch(), measure() and serving_throughput()
+// never decompose anything.
 //
 // Contract (see DESIGN.md § Compile-once / execute-many):
 //  * Immutability — a CompiledNetwork has no mutating methods; every
@@ -17,10 +18,11 @@
 //  * Bit-exactness — run()/run_batch() are the same kernels the free
 //    execution paths use (TasdSeriesGemm::multiply / multiply_batch,
 //    dense_gemm / dense_gemm_batch), so outputs are bit-identical to those
-//    paths under the layer's resolved layer_policy() at every thread
-//    count. Kernel *selection* ("auto" → GEMV / AVX-512 / AVX2 / scalar
-//    by layer width and host) picks a rounding family (see
-//    docs/kernels.md); within a family results never vary.
+//    paths under the layer's layer_policy() at every thread count. Family
+//    *selection* ("auto" → GEMV / AVX-512 / AVX2 / scalar by layer width
+//    and host) picks a rounding family (see docs/kernels.md); within a
+//    family results never vary, and one family serves both run() and
+//    run_batch() of a layer.
 //  * Plan prewarm — compile() performs at most one decomposition per
 //    configured layer (zero when the PlanCache already holds the plan);
 //    executing the artifact performs zero additional decompositions.
@@ -65,6 +67,7 @@ struct MeasureOptions {
 /// Measured timings of one layer.
 struct LayerTiming {
   std::string name;
+  std::string family;  ///< the layer's bound family, timed on both sides
   Index m = 0, k = 0, n = 0;
   double dense_ms = 0.0;
   double tasd_ms = 0.0;              ///< 0 when no series configured
@@ -106,9 +109,8 @@ std::vector<std::size_t> conversion_order(
 /// The shrunk measurement width measure() uses for a layer with `n`
 /// full-scale positions under a given n_divisor: rounded division with
 /// a floor of min(n, n_divisor - 1) — monotone in n, never zero (see
-/// CompileOptions::n_divisor). Shared with compile_and_measure
-/// (runtime/pipelined_executor.hpp) so both measurement paths shrink
-/// identically.
+/// CompileOptions::n_divisor). Autotuning shrinks its single-RHS
+/// workload the same way.
 Index measured_n(Index n, Index n_divisor);
 
 /// Serving throughput of a whole network at one batch size: the batch
@@ -122,15 +124,15 @@ struct ServingThroughput {
   double tasd_qps = 0.0;   ///< batch_size / TASD seconds
 };
 
-/// How compile() binds each layer's kernels.
+/// How compile() binds each layer's kernel family.
 enum class KernelPolicy {
-  /// One network-wide binding from the kernel-name options below
-  /// ("auto" → GemmDispatch::best_*()). Free; no measurement.
+  /// CompileOptions::kernel_family ("auto" → best_family() at each
+  /// layer's positions). Free; no measurement.
   kStatic,
-  /// Micro-bench every registered candidate per layer on the compiling
-  /// host and bind the per-layer winner, recording a TuningResult on the
-  /// artifact (runtime/autotune.hpp). Costs repeats x candidates x
-  /// layers timed kernel runs at compile time.
+  /// Time every available family per layer on the compiling host and
+  /// bind the per-layer winner, recording a TuningResult on the artifact
+  /// (runtime/autotune.hpp). Costs 2 x repeats x families x layers
+  /// timed kernel runs at compile time.
   kAutotune,
 };
 
@@ -149,21 +151,16 @@ struct CompileOptions {
   /// Right-hand-side columns of one serving query (1 = GEMV-style
   /// serving, the latency-bound case batching amortizes).
   Index query_cols = 1;
-  /// Kernel selection by registry name. "auto" (the default) resolves at
-  /// compile() time through GemmDispatch::best_*(): per layer at its
-  /// positions (the decode-width GEMV family for 1..kGemvMaxWidth, else
-  /// the widest SIMD family, scalar last), and network-wide at unknown
-  /// width for the name policy() reports. Empty = the GemmDispatch
-  /// registry defaults (always scalar).
-  std::string dense_kernel = "auto";
-  std::string nm_kernel = "auto";
-  std::string dense_batch_kernel = "auto";
-  std::string nm_batch_kernel = "auto";
-  /// kAutotune measures candidates per layer and overrides the
-  /// network-wide names above with each layer's winner (the names still
-  /// bind measure()'s dense-vs-TASD comparison and the tuning fallback).
+  /// Kernel family every layer binds: "auto" (the default) resolves at
+  /// compile() time through best_family() at each layer's positions (the
+  /// decode-width GEMV family for 1..kGemvMaxWidth, else the widest SIMD
+  /// family, scalar last); any other value names an available family
+  /// ("scalar", "avx2", "avx512", "gemv-avx512") for every layer.
+  std::string kernel_family = "auto";
+  /// kAutotune measures every family per layer and binds each layer's
+  /// winner over the kernel_family choice.
   KernelPolicy kernel_policy = KernelPolicy::kStatic;
-  /// Batch-slot tuning workload: this many query_cols-wide right-hand
+  /// Batch tuning workload: this many query_cols-wide right-hand
   /// sides per timed batch call. Match it to the serving batch size the
   /// artifact will see; 16 is the knee of the batching curve in
   /// BENCH_serving.json.
@@ -194,14 +191,13 @@ struct PreboundLayer {
 /// Assemble an artifact from layers whose plans may be prebuilt: a
 /// layer carrying a plan binds it directly — zero decompositions — and
 /// a configured layer without one decomposes exactly as compile() does.
-/// Kernel names resolve through GemmDispatch at assembly time ("auto" →
-/// best_*() at each layer's positions), so a deserialized network
-/// re-binds the fastest kernels registered on the *loading* host. This
-/// is the single constructor path behind both rt::compile() and
-/// rt::load_artifact().
+/// Kernel families resolve at assembly time ("auto" → best_family() at
+/// each layer's positions), so a deserialized network re-binds the
+/// fastest families available on the *loading* host. This is the single
+/// constructor path behind both rt::compile() and rt::load_artifact().
 ///
 /// `restored` is the load path's deserialized TuningResult: when it
-/// transfers to this host (signature match, kernels registered —
+/// transfers to this host (signature match, families available —
 /// detail::apply_tuning) it rebinds the layers without re-measuring;
 /// otherwise the static resolution stands, and opt.kernel_policy ==
 /// kAutotune re-tunes from scratch exactly as a fresh compile would.
@@ -229,13 +225,19 @@ class CompiledNetwork {
     /// Bound structured kernel; engaged exactly when config is.
     std::optional<TasdSeriesGemm> series;
     double kept_nnz_fraction = 0.0;  ///< stored values / total positions
-    /// Per-layer kernel binding run()/run_batch() execute through: N:M
-    /// slot names when `series` is bound, dense slot names otherwise.
-    /// Initialized to the explicit names, or "auto" resolved at this
-    /// layer's width; kAutotune and a restored artifact tuning rebind
-    /// them per layer.
+    /// The one kernel family run() and run_batch() execute through (its
+    /// N:M entry when `series` is bound, its dense entry otherwise):
+    /// CompileOptions::kernel_family resolved at this layer's width;
+    /// kAutotune and a restored artifact tuning rebind it per layer.
+    const KernelFamily* family = nullptr;
+    /// The family's name, for reports (both fields hold the same name).
     std::string kernel;
     std::string batch_kernel;
+
+    void bind(const KernelFamily& f) {
+      family = &f;
+      kernel = batch_kernel = f.name;
+    }
   };
 
   CompiledNetwork(CompiledNetwork&&) = default;
@@ -280,7 +282,7 @@ class CompiledNetwork {
                             const MatrixF& input) const;
 
   /// Execute one layer on a batch of right-hand sides (ragged widths
-  /// allowed) through its bound batch kernel, sharing the layer's one
+  /// allowed) through the layer's family, sharing the layer's one
   /// plan across every item. Bit-identical to looping run() over the
   /// items, at every thread count and batch size.
   [[nodiscard]] std::vector<MatrixF> run_batch(
@@ -301,33 +303,26 @@ class CompiledNetwork {
   /// Execute the whole network on a batch of inputs (ragged widths
   /// allowed), layer-major with a full barrier per layer: every item
   /// finishes layer L (one run_batch call) before any item starts layer
-  /// L+1. This is the sequential baseline the PipelinedExecutor
-  /// (runtime/pipelined_executor.hpp) overlaps; outputs are bit-identical
-  /// to looping run_network() per item at every thread count (the batch
-  /// kernels' contract).
+  /// L+1. Outputs are bit-identical to looping run_network() per item
+  /// at every thread count (each layer runs one family for both).
   [[nodiscard]] std::vector<MatrixF> run_network_batch(
       std::span<const MatrixF> inputs) const;
 
   /// Measure every layer (dense kernel, and the TASD series where bound)
   /// at the compile-time n_divisor shrink: the Fig. 16 per-layer report.
+  /// Both sides run the layer's bound family (LayerTiming::family).
   /// Feed the result to conversion_order() / network_latency_ms().
   [[nodiscard]] std::vector<LayerTiming> measure() const;
 
   /// Measure dense vs TASD serving throughput (queries/sec) at each
-  /// batch size, query_cols columns per query. One entry per batch size,
-  /// in order. Every batch size reuses the prewarmed plans.
+  /// batch size, query_cols columns per query, each layer on its bound
+  /// family. One entry per batch size, in order. Every batch size reuses
+  /// the prewarmed plans.
   [[nodiscard]] std::vector<ServingThroughput> serving_throughput(
       const std::vector<std::size_t>& batch_sizes = {1, 4, 16, 64}) const;
 
-  /// The network-wide execution policy (the artifact's pool binding and
-  /// resolved kernel-name options) — what measure() and the dense-vs-
-  /// TASD comparison paths run under. run()/run_batch() execute through
-  /// layer_policy(), which overlays the per-layer binding.
-  [[nodiscard]] ExecPolicy policy() const;
-
-  /// policy() with layer i's own kernel/batch_kernel binding substituted
-  /// into the slot pair the layer executes (N:M when configured, dense
-  /// otherwise) — the exact policy run()/run_batch() pass to the kernels.
+  /// The artifact's pool and layer i's bound family — the exact policy
+  /// run()/run_batch() pass to the kernels.
   [[nodiscard]] ExecPolicy layer_policy(std::size_t i) const;
 
   /// The per-layer tuning record when this artifact was autotuned (at

@@ -15,8 +15,7 @@ void dense_gemm_accumulate(const MatrixF& a, const MatrixF& b, MatrixF& c,
                            const ExecPolicy& policy) {
   TASD_CHECK_MSG(a.cols() == b.rows(), "GEMM inner dim mismatch");
   TASD_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  GemmDispatch::instance().dense(policy.dense_kernel)(a, b, c,
-                                                      resolve_pool(policy));
+  resolve_family(policy).dense(a, {&b, 1}, {&c, 1}, resolve_pool(policy));
 }
 
 std::vector<MatrixF> dense_gemm_batch(const MatrixF& a,
@@ -39,8 +38,7 @@ void dense_gemm_batch_accumulate(const MatrixF& a, std::span<const MatrixF> bs,
     TASD_CHECK(cs[i].rows() == a.rows() && cs[i].cols() == bs[i].cols());
   }
   if (bs.empty()) return;
-  GemmDispatch::instance().dense_batch(policy.dense_batch_kernel)(
-      a, bs, cs, resolve_pool(policy));
+  resolve_family(policy).dense(a, bs, cs, resolve_pool(policy));
 }
 
 }  // namespace tasd::rt

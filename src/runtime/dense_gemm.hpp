@@ -6,16 +6,15 @@
 // dense hardware: the speed-up of the N:M kernel over this one comes only
 // from structured compression, which is the effect the paper measures.
 //
-// Execution routes through the GemmDispatch kernel registry; pass an
-// ExecPolicy to pick a pool or kernel, or take the defaults (default
-// pool, tiled row-parallel kernel). Results are bit-identical at every
-// thread count.
+// Execution routes through a KernelFamily; pass an ExecPolicy to pick a
+// pool or family, or take the defaults (default pool, scalar family).
+// Results are bit-identical at every thread count.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "runtime/gemm_dispatch.hpp"
+#include "runtime/kernel_family.hpp"
 #include "tensor/matrix.hpp"
 
 namespace tasd::rt {

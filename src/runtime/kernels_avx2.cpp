@@ -1,5 +1,5 @@
 // AVX2/FMA GEMM kernels. Compiled with -mavx2 -mfma; executed only when
-// runtime detection (tasd::avx2_available) registered them.
+// runtime detection (tasd::avx2_available) lists the "avx2" family.
 //
 // The bit-exactness discipline (docs/kernels.md): one accumulator chain
 // per output element, advanced by exactly one fused multiply-add per
@@ -24,12 +24,6 @@
 namespace tasd::rt {
 
 namespace {
-
-// Row grain of the parallel_for partition; matches the scalar kernels so
-// thread scheduling granularity is comparable across families (the grain
-// never affects results, only load balance). It also bounds how many
-// rows reuse one resident B macro tile.
-constexpr std::size_t kRowGrain = 8;
 
 // Column macro tile: B rows' 2 KB segments stay cache-resident while a
 // row block passes over them (matches the scalar kernels' kTileN).
@@ -207,50 +201,6 @@ void nm_gemm_tile_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b,
       }
     }
   }
-}
-
-namespace {
-
-void dense_avx2(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                ThreadPool& pool) {
-  pool.parallel_for(0, a.rows(), kRowGrain, [&](Index r0, Index r1) {
-    dense_gemm_tile_avx2(a, b, c, r0, r1, 0, b.cols());
-  });
-}
-
-void nm_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b, MatrixF& c,
-             ThreadPool& pool) {
-  pool.parallel_for(0, a.rows(), kRowGrain, [&](Index r0, Index r1) {
-    nm_gemm_tile_avx2(a, b, c, r0, r1, 0, b.cols());
-  });
-}
-
-void dense_batch_avx2(const MatrixF& a, std::span<const MatrixF> bs,
-                      std::span<MatrixF> cs, ThreadPool& pool) {
-  run_packed_batch(a.rows(), bs, cs, pool,
-                   [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
-                        Index c0, Index c1) {
-                     dense_gemm_tile_avx2(a, b, c, r0, r1, c0, c1);
-                   });
-}
-
-void nm_batch_avx2(const sparse::NMSparseMatrix& a,
-                   std::span<const MatrixF> bs, std::span<MatrixF> cs,
-                   ThreadPool& pool) {
-  run_packed_batch(a.rows(), bs, cs, pool,
-                   [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
-                        Index c0, Index c1) {
-                     nm_gemm_tile_avx2(a, b, c, r0, r1, c0, c1);
-                   });
-}
-
-}  // namespace
-
-void register_avx2_kernels(GemmDispatch& dispatch) {
-  dispatch.register_dense("dense-avx2", dense_avx2);
-  dispatch.register_nm("nm-avx2", nm_avx2);
-  dispatch.register_dense_batch("dense-batch-avx2", dense_batch_avx2);
-  dispatch.register_nm_batch("nm-batch-avx2", nm_batch_avx2);
 }
 
 }  // namespace tasd::rt

@@ -1,10 +1,7 @@
-// AVX2/FMA vectorized GEMM kernels — the SIMD backend of GemmDispatch.
-//
-// Registered names (see docs/kernels.md for the author guide):
-//   dense       "dense-avx2"        row-parallel, 8-lane FMA over columns
-//   N:M         "nm-avx2"           compressed traversal, 8-lane FMA
-//   dense batch "dense-batch-avx2"  packed (row, batch-column) tile grid
-//   N:M batch   "nm-batch-avx2"     same grid over the compressed core
+// AVX2/FMA vectorized GEMM tile cores — the "avx2" kernel family
+// (runtime/kernel_family.hpp; docs/kernels.md is the author guide):
+//   dense  8-lane FMA over columns, 4-row register blocking
+//   N:M    compressed traversal, 8-lane FMA
 //
 // Bit-exactness model: every output element accumulates along a single
 // k-ascending (dense) / stored-value-ascending (N:M) chain of *fused*
@@ -13,17 +10,17 @@
 // therefore a pure function of the operands, independent of thread count,
 // tile shape, column offset, and batch packing: each AVX2 kernel is
 // bit-identical to its own serial run and a batched call is bit-identical
-// to looping its single-RHS sibling. The FMA chain rounds differently
-// from the scalar mul+add kernels ("tiled-parallel" etc.), so AVX2 and
-// scalar kernels form two internally-consistent families that agree to
+// to looping the single-RHS call. The FMA chain rounds differently
+// from the scalar mul+add cores, so AVX2 and scalar form two
+// internally-consistent rounding families that agree to
 // float tolerance, not bitwise (the property tests pin both claims).
 //
 // This translation unit is compiled with -mavx2 -mfma (see
-// src/CMakeLists.txt); GemmDispatch registers the kernels only when
-// tasd::avx2_available() says the executing CPU/OS can run them.
+// src/CMakeLists.txt); kernel_families() lists the family only when
+// tasd::avx2_available() says the executing CPU/OS can run it.
 #pragma once
 
-#include "runtime/gemm_dispatch.hpp"
+#include "runtime/kernel_family.hpp"
 
 namespace tasd::rt {
 
@@ -39,10 +36,5 @@ void dense_gemm_tile_avx2(const MatrixF& a, const MatrixF& b, MatrixF& c,
 void nm_gemm_tile_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b,
                        MatrixF& c, Index row_begin, Index row_end,
                        Index col_begin, Index col_end);
-
-/// Register all four AVX2 kernels under their names. Called once by
-/// GemmDispatch's constructor when avx2_available(); never changes the
-/// registry defaults.
-void register_avx2_kernels(GemmDispatch& dispatch);
 
 }  // namespace tasd::rt

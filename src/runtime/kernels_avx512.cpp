@@ -1,5 +1,6 @@
 // AVX-512 GEMM kernels. Compiled with -mavx512f -mavx512bw; executed
-// only when runtime detection (tasd::avx512_available) registered them.
+// only when runtime detection (tasd::avx512_available) lists their
+// families.
 //
 // The bit-exactness discipline (docs/kernels.md): one accumulator chain
 // per output element, advanced by exactly one fused multiply-add per
@@ -36,11 +37,6 @@
 namespace tasd::rt {
 
 namespace {
-
-// Row grain of the parallel_for partition; matches the scalar and AVX2
-// kernels so thread scheduling granularity is comparable across families
-// (the grain never affects results, only load balance).
-constexpr std::size_t kRowGrain = 8;
 
 // Column macro tile: keeps B rows' 2 KB segments cache-resident while a
 // row block passes over them (matches the other families' kTileN).
@@ -259,39 +255,6 @@ void nm_gemm_tile_avx512(const sparse::NMSparseMatrix& a, const MatrixF& b,
 
 namespace {
 
-void dense_avx512(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                  ThreadPool& pool) {
-  pool.parallel_for(0, a.rows(), kRowGrain, [&](Index r0, Index r1) {
-    dense_gemm_tile_avx512(a, b, c, r0, r1, 0, b.cols());
-  });
-}
-
-void nm_avx512(const sparse::NMSparseMatrix& a, const MatrixF& b, MatrixF& c,
-               ThreadPool& pool) {
-  pool.parallel_for(0, a.rows(), kRowGrain, [&](Index r0, Index r1) {
-    nm_gemm_tile_avx512(a, b, c, r0, r1, 0, b.cols());
-  });
-}
-
-void dense_batch_avx512(const MatrixF& a, std::span<const MatrixF> bs,
-                        std::span<MatrixF> cs, ThreadPool& pool) {
-  run_packed_batch(a.rows(), bs, cs, pool,
-                   [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
-                        Index c0, Index c1) {
-                     dense_gemm_tile_avx512(a, b, c, r0, r1, c0, c1);
-                   });
-}
-
-void nm_batch_avx512(const sparse::NMSparseMatrix& a,
-                     std::span<const MatrixF> bs, std::span<MatrixF> cs,
-                     ThreadPool& pool) {
-  run_packed_batch(a.rows(), bs, cs, pool,
-                   [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
-                        Index c0, Index c1) {
-                     nm_gemm_tile_avx512(a, b, c, r0, r1, c0, c1);
-                   });
-}
-
 // ---------------------------------------------- decode-width GEMV family
 // k-vectorized: every output element (row r, column j) owns 16 partial
 // sums. Each 16-lane step adds one product per lane with a fused
@@ -437,8 +400,10 @@ void dense_gemv_block(const MatrixF& a, Index r0, const GemvColumns& xc,
       xc.at(r0 + r, j0 + c) += tree_sum(acc[r][c]);
 }
 
-void dense_gemv(const MatrixF& a, std::span<const MatrixF> bs,
-                std::span<MatrixF> cs, ThreadPool& pool) {
+}  // namespace
+
+void dense_gemv_avx512(const MatrixF& a, std::span<const MatrixF> bs,
+                       std::span<MatrixF> cs, ThreadPool& pool) {
   const GemvColumns xc(a.cols(), bs, cs);
   if (xc.cols() == 0) return;
   gemv_rows_parallel(
@@ -458,6 +423,8 @@ void dense_gemv(const MatrixF& a, std::span<const MatrixF> bs,
           });
       });
 }
+
+namespace {
 
 /// Decode constants of one N:M pattern with N <= 16: a window is
 /// 16 / N blocks, whose stored values fill 16 slots (N per block).
@@ -579,8 +546,11 @@ void nm_gemv_row_chunked(const sparse::NMSparseMatrix& a, Index r,
   for (int c = 0; c < kCols; ++c) xc.at(r, j0 + c) += tree_sum(acc[c]);
 }
 
-void nm_gemv(const sparse::NMSparseMatrix& a, std::span<const MatrixF> bs,
-             std::span<MatrixF> cs, ThreadPool& pool) {
+}  // namespace
+
+void nm_gemv_avx512(const sparse::NMSparseMatrix& a,
+                    std::span<const MatrixF> bs, std::span<MatrixF> cs,
+                    ThreadPool& pool) {
   if (a.nnz() == 0) return;  // also every 0:M term
   const GemvColumns xc(a.cols(), bs, cs);
   if (xc.cols() == 0) return;
@@ -613,29 +583,6 @@ void nm_gemv(const sparse::NMSparseMatrix& a, std::span<const MatrixF> bs,
                   nm_gemv_row<kCols, false>(a, win, r, xc, j);
               });
       });
-}
-
-void dense_gemv_single(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                       ThreadPool& pool) {
-  dense_gemv(a, {&b, 1}, {&c, 1}, pool);
-}
-
-void nm_gemv_single(const sparse::NMSparseMatrix& a, const MatrixF& b,
-                    MatrixF& c, ThreadPool& pool) {
-  nm_gemv(a, {&b, 1}, {&c, 1}, pool);
-}
-
-}  // namespace
-
-void register_avx512_kernels(GemmDispatch& dispatch) {
-  dispatch.register_dense("dense-avx512", dense_avx512);
-  dispatch.register_nm("nm-avx512", nm_avx512);
-  dispatch.register_dense_batch("dense-batch-avx512", dense_batch_avx512);
-  dispatch.register_nm_batch("nm-batch-avx512", nm_batch_avx512);
-  dispatch.register_dense("dense-gemv-avx512", dense_gemv_single);
-  dispatch.register_nm("nm-gemv-avx512", nm_gemv_single);
-  dispatch.register_dense_batch("dense-batch-gemv-avx512", dense_gemv);
-  dispatch.register_nm_batch("nm-batch-gemv-avx512", nm_gemv);
 }
 
 }  // namespace tasd::rt

@@ -15,8 +15,7 @@ void nm_gemm_accumulate(const sparse::NMSparseMatrix& a, const MatrixF& b,
                         MatrixF& c, const ExecPolicy& policy) {
   TASD_CHECK_MSG(a.cols() == b.rows(), "N:M GEMM inner dim mismatch");
   TASD_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  GemmDispatch::instance().nm(policy.nm_kernel)(a, b, c,
-                                                resolve_pool(policy));
+  resolve_family(policy).nm(a, {&b, 1}, {&c, 1}, resolve_pool(policy));
 }
 
 std::vector<MatrixF> nm_gemm_batch(const sparse::NMSparseMatrix& a,
@@ -40,8 +39,7 @@ void nm_gemm_batch_accumulate(const sparse::NMSparseMatrix& a,
     TASD_CHECK(cs[i].rows() == a.rows() && cs[i].cols() == bs[i].cols());
   }
   if (bs.empty()) return;
-  GemmDispatch::instance().nm_batch(policy.nm_batch_kernel)(
-      a, bs, cs, resolve_pool(policy));
+  resolve_family(policy).nm(a, bs, cs, resolve_pool(policy));
 }
 
 TasdSeriesGemm::TasdSeriesGemm(const Decomposition& decomposition)
@@ -62,14 +60,12 @@ MatrixF TasdSeriesGemm::multiply(const MatrixF& b,
                      << rows_ << "x" << cols_ << ", so b needs " << cols_
                      << " rows, got " << b.rows() << "x" << b.cols());
   MatrixF c(rows_, b.cols());
-  // Term-major through the registry so kernel selection (policy or
-  // set_default_nm) applies to the series path too. Per output element
-  // the accumulation order is terms in series order, k ascending within
-  // a term — identical at every thread count and for every row-partition
-  // kernel.
-  const NmKernel kernel = GemmDispatch::instance().nm(policy.nm_kernel);
+  // Term-major through the policy's family. Per output element the
+  // accumulation order is terms in series order, k ascending within a
+  // term — identical at every thread count.
+  const NmFn nm = resolve_family(policy).nm;
   ThreadPool& pool = resolve_pool(policy);
-  for (const auto& t : terms()) kernel(t, b, c, pool);
+  for (const auto& t : terms()) nm(t, {&b, 1}, {&c, 1}, pool);
   return c;
 }
 
@@ -87,20 +83,18 @@ std::vector<MatrixF> TasdSeriesGemm::multiply_batch(
   }
   if (bs.empty()) return cs;
   // Pack the batch once and run every term against the packed pair as a
-  // single-item batch (re-packing per term would waste copies on the
-  // serving hot path). Term-major: per output element the accumulation
-  // order is terms in series order, k ascending within a term — exactly
-  // multiply()'s order — and the tile cores' per-element order does not
-  // depend on column position, so the batch is bit-identical to a
-  // per-item loop.
-  const NmBatchKernel kernel =
-      GemmDispatch::instance().nm_batch(policy.nm_batch_kernel);
+  // 1-item call (re-packing per term would waste copies on the serving
+  // hot path). Term-major: per output element the accumulation order is
+  // terms in series order, k ascending within a term — exactly
+  // multiply()'s order — and no family's per-element order depends on
+  // column position, so the batch is bit-identical to a per-item loop.
+  const NmFn nm = resolve_family(policy).nm;
   ThreadPool& pool = resolve_pool(policy);
   const auto off = batch_offsets(bs);
   if (off.back() == 0) return cs;
   const MatrixF bp = pack_batch(bs, off);
   MatrixF cp(rows_, off.back());
-  for (const auto& t : terms()) kernel(t, {&bp, 1}, {&cp, 1}, pool);
+  for (const auto& t : terms()) nm(t, {&bp, 1}, {&cp, 1}, pool);
   unpack_batch(cp, off, cs);
   return cs;
 }

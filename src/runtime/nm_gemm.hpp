@@ -3,8 +3,8 @@
 // 2:4-compressed operand does half the work of the dense kernel through
 // the same inner loop.
 //
-// Execution routes through the GemmDispatch kernel registry (row-parallel
-// by default, bit-identical at every thread count). TASD series can run
+// Execution routes through a KernelFamily (the scalar family by
+// default, bit-identical at every thread count). TASD series can run
 // from a cached DecompositionPlan so the weights are decomposed and
 // compressed exactly once.
 #pragma once
@@ -15,7 +15,7 @@
 
 #include "core/decompose.hpp"
 #include "core/plan_cache.hpp"
-#include "runtime/gemm_dispatch.hpp"
+#include "runtime/kernel_family.hpp"
 #include "sparse/nm_matrix.hpp"
 #include "tensor/matrix.hpp"
 
@@ -61,8 +61,8 @@ class TasdSeriesGemm {
 
   /// Execute against a batch of dense right-hand sides (ragged widths
   /// allowed), sharing this series' one decomposition plan across every
-  /// item. Each term runs through the registry's batch kernel, which
-  /// partitions (output-row, batch-column) tiles over the pool; output
+  /// item. The batch is packed once and every term runs over the
+  /// packed pair as a 1-item call of the policy's family; output
   /// is bit-identical to calling multiply() per item — the serving-path
   /// invariant — at every thread count and batch size.
   [[nodiscard]] std::vector<MatrixF> multiply_batch(

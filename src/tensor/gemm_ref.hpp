@@ -1,6 +1,5 @@
 // Reference (correctness-oracle) GEMM. The optimized kernels live in
-// src/runtime/ behind the GemmDispatch registry (which also exposes this
-// oracle as the "reference" dense kernel); everything is validated
+// src/runtime/ behind the KernelFamily table; everything is validated
 // against this implementation.
 #pragma once
 

@@ -237,6 +237,22 @@ TEST(Artifact, UnsupportedVersionIsFailedPrecondition) {
             Error::Code::kFailedPrecondition);
 }
 
+TEST(Artifact, VersionOneFileIsFailedPrecondition) {
+  // Version 1 stored separate single-RHS and batch kernel names in its
+  // tuning section; this reader speaks version 2 only. A v1 header (the
+  // rest of the layout is unchanged) must be rejected as not ours, not
+  // parsed as corrupt.
+  static_assert(artifact::kVersion == 2);
+  TempPath tmp("tasd_version1.tasdart");
+  auto bytes = saved_bytes(tmp);
+  patch_u32(bytes, artifact::kHeaderVersionOffset, 1);
+  io::write_file(tmp.path, bytes);
+  EXPECT_EQ(failure_code([&] { (void)load_artifact(tmp.path, {}); }),
+            Error::Code::kFailedPrecondition);
+  EXPECT_EQ(failure_code([&] { (void)inspect_artifact(tmp.path); }),
+            Error::Code::kFailedPrecondition);
+}
+
 TEST(Artifact, FlippedPayloadBitIsInternal) {
   // A single flipped bit inside the last section: the section CRC (not
   // the TOC CRC, which never covers payloads) must catch it.

@@ -1,7 +1,7 @@
 // Tuning-section round-trip, host-signature policy, and the fuzz-style
-// corruption matrix for TASDART1 files (ISSUE 10): a tuned artifact
-// restores its per-layer binding verbatim on the measuring host, falls
-// back to best_*() re-resolution (never a stale binding) on any other
+// corruption matrix for TASDART files: a tuned artifact restores its
+// per-layer family binding verbatim on the measuring host, falls back to
+// best_family() re-resolution (never a stale binding) on any other
 // host, and no byte flip anywhere in the file — header, TOC, sections,
 // tuning payload — can crash the loader or silently mis-bind kernels.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "../runtime/kernel_families.hpp"
 #include "artifact/artifact.hpp"
 #include "artifact/format.hpp"
 #include "common/cpu_features.hpp"
@@ -72,16 +71,11 @@ std::vector<std::optional<TasdConfig>> small_configs() {
 }
 
 /// Deterministic non-default winners, so "binding restored" is
-/// distinguishable from "binding re-resolved": the scalar "-twin"
-/// kernels are autotune candidates that best_*() never picks.
+/// distinguishable from "binding re-resolved": best_family() never picks
+/// the scalar family on a SIMD host (on the scalar leg the two agree).
 TuneTimer slow_is_fast() {
-  testing::register_scalar_twins();
   return [](const TuneMeasurement& m) {
-    return m.kernel == (m.batch ? "batch-packed-twin"
-                                : (m.nm ? "row-parallel-twin"
-                                        : "tiled-parallel-twin"))
-               ? 1.0
-               : 9.0;
+    return m.family == "scalar" ? 1.0 : 9.0;
   };
 }
 
@@ -128,18 +122,20 @@ TEST(ArtifactTuning, TunedRoundTripRestoresTheBindingWithZeroDecompositions) {
   for (std::size_t i = 0; i < want.layers.size(); ++i) {
     EXPECT_EQ(got.layers[i].layer, want.layers[i].layer);
     EXPECT_EQ(got.layers[i].nm, want.layers[i].nm);
-    EXPECT_EQ(got.layers[i].chosen_single, want.layers[i].chosen_single);
-    EXPECT_EQ(got.layers[i].chosen_batch, want.layers[i].chosen_batch);
-    ASSERT_EQ(got.layers[i].single.size(), want.layers[i].single.size());
-    for (std::size_t c = 0; c < want.layers[i].single.size(); ++c) {
-      EXPECT_EQ(got.layers[i].single[c].kernel,
-                want.layers[i].single[c].kernel);
-      EXPECT_EQ(got.layers[i].single[c].ms, want.layers[i].single[c].ms);
+    EXPECT_EQ(got.layers[i].chosen, want.layers[i].chosen);
+    ASSERT_EQ(got.layers[i].candidates.size(),
+              want.layers[i].candidates.size());
+    for (std::size_t c = 0; c < want.layers[i].candidates.size(); ++c) {
+      const TuneCandidate& g = got.layers[i].candidates[c];
+      const TuneCandidate& w = want.layers[i].candidates[c];
+      EXPECT_EQ(g.family, w.family);
+      EXPECT_EQ(g.single_ms, w.single_ms);
+      EXPECT_EQ(g.batch_ms, w.batch_ms);
     }
   }
   for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
-    EXPECT_EQ(loaded.layer(i).kernel, engine.layer(i).kernel) << i;
-    EXPECT_EQ(loaded.layer(i).batch_kernel, engine.layer(i).batch_kernel) << i;
+    EXPECT_EQ(loaded.layer(i).family, engine.layer(i).family) << i;
+    EXPECT_EQ(loaded.layer(i).kernel, "scalar") << i;
   }
   // And it executes with the restored (non-default) kernels, bitwise.
   Rng rng(9310);
@@ -179,19 +175,15 @@ TEST(ArtifactTuning, StaticArtifactLoadReproducesEveryLayerBinding) {
   const auto engine = compile(net, configs, opt);
   save_artifact(engine, tmp.path);
   const auto loaded = load_artifact(tmp.path, opt);
-  const auto& dispatch = GemmDispatch::instance();
   ASSERT_EQ(loaded.layer_count(), engine.layer_count());
   Rng rng(9320);
   for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
     const auto& l = loaded.layer(i);
     EXPECT_EQ(l.n, engine.layer(i).n) << i;
-    EXPECT_EQ(l.kernel, engine.layer(i).kernel) << i;
-    EXPECT_EQ(l.batch_kernel, engine.layer(i).batch_kernel) << i;
-    const bool nm = l.series.has_value();
-    EXPECT_EQ(l.kernel, nm ? dispatch.best_nm(l.n) : dispatch.best_dense(l.n))
-        << i;
+    EXPECT_EQ(l.family, engine.layer(i).family) << i;
+    EXPECT_EQ(l.family, &best_family(l.n)) << i;
     if (avx512_available() && l.n == 1) {
-      EXPECT_NE(l.kernel.find("gemv"), std::string::npos) << l.kernel;
+      EXPECT_EQ(l.kernel, "gemv-avx512");
     }
     const MatrixF b = random_dense(l.k, l.n, Dist::kNormalStd1, rng);
     EXPECT_EQ(loaded.run(i, b), engine.run(i, b)) << i;
@@ -204,23 +196,16 @@ TEST(ArtifactTuning, ForeignHostSignatureFallsBackToReResolution) {
   save_artifact(compile(small_net(), small_configs(), tuned_opt()), tmp.path);
 
   // Load "on another machine": the stored binding must NOT transfer;
-  // every layer re-resolves through the static best_*() chain at its
-  // width exactly as an untuned artifact would.
+  // every layer re-resolves through best_family() at its width exactly
+  // as an untuned artifact would.
   const SignatureGuard sig("other-box|avx2=0,avx512=0");
   CompileOptions opt;
   opt.measure.use_plan_cache = false;
   const auto loaded = load_artifact(tmp.path, opt);
   EXPECT_FALSE(loaded.tuning().has_value());
-  const auto& dispatch = GemmDispatch::instance();
   for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
-    const bool nm = loaded.layer(i).series.has_value();
-    const Index width = loaded.layer(i).n;
-    EXPECT_EQ(loaded.layer(i).kernel,
-              nm ? dispatch.best_nm(width) : dispatch.best_dense(width))
+    EXPECT_EQ(loaded.layer(i).family, &best_family(loaded.layer(i).n))
         << "stale foreign binding on layer " << i;
-    EXPECT_EQ(loaded.layer(i).batch_kernel,
-              nm ? dispatch.best_nm_batch(width)
-                 : dispatch.best_dense_batch(width));
   }
 }
 

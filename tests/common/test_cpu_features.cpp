@@ -1,5 +1,5 @@
-// CPU feature detection and the AVX2 enablement policy (the gate the
-// GemmDispatch registry consults before registering the SIMD kernels).
+// CPU feature detection and the AVX2 enablement policy (the gate
+// rt::kernel_families() consults before listing the SIMD families).
 #include "common/cpu_features.hpp"
 
 #include <gtest/gtest.h>

@@ -1,9 +1,10 @@
-// Per-layer kernel autotuning (ISSUE 10 tentpole): compile() under
-// KernelPolicy::kAutotune micro-benches every registered candidate per
-// layer and binds the winner. The measurement-override hook
-// (set_autotune_timer) replaces the wall clock with injected timings so
-// the selection logic is testable deterministically: fixed fake timings
-// must yield a fixed binding, run after run.
+// Per-layer kernel-family autotuning: compile() under
+// KernelPolicy::kAutotune times every available family per layer on the
+// layer's single-RHS and batch workloads and binds the family with the
+// lowest sum. The measurement-override hook (set_autotune_timer)
+// replaces the wall clock with injected timings so the selection logic
+// is testable deterministically: fixed fake timings must yield a fixed
+// binding, run after run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,6 @@
 
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
-#include "kernel_families.hpp"
 #include "runtime/autotune.hpp"
 #include "runtime/compiled_network.hpp"
 #include "tensor/generator.hpp"
@@ -56,28 +56,13 @@ CompileOptions autotune_opt() {
   return opt;
 }
 
-bool contains(const std::vector<std::string>& names, const std::string& n) {
-  return std::find(names.begin(), names.end(), n) != names.end();
-}
-
-/// The registered names autotune times for one slot.
-std::vector<std::string> candidates(std::vector<std::string> registry) {
-  std::erase_if(registry,
-                [](const std::string& n) { return !autotune_candidate(n); });
-  return registry;
-}
-
 TEST(Autotune, FixedFakeTimingsYieldAFixedBinding) {
-  // The fake timer prefers a different kernel on each layer: the nm
-  // layer "a" gets "row-parallel-twin"/"batch-packed-twin", the dense
-  // layer "b" gets "tiled-parallel-twin"/"batch-packed-twin" —
-  // deliberately NOT the static best_*() picks, so a pass proves the
-  // injected measurements (and nothing else) drove the binding.
-  testing::register_scalar_twins();
+  // The fake timer makes the scalar family the fastest on both
+  // workloads — deliberately NOT the static pick on SIMD hosts, so a
+  // pass proves the injected measurements (and nothing else) drove the
+  // binding.
   const TimerGuard guard([](const TuneMeasurement& m) {
-    std::string fast = "batch-packed-twin";
-    if (!m.batch) fast = m.nm ? "row-parallel-twin" : "tiled-parallel-twin";
-    return m.kernel == fast ? 1.0 : 9.0;
+    return m.family == "scalar" ? 1.0 : 9.0;
   });
   for (int round = 0; round < 2; ++round) {
     const auto engine = compile(two_layer_net(), mixed_configs(),
@@ -86,89 +71,116 @@ TEST(Autotune, FixedFakeTimingsYieldAFixedBinding) {
     const TuningResult& t = *engine.tuning();
     EXPECT_EQ(t.host_signature, cpu_signature());
     ASSERT_EQ(t.layers.size(), 2U);
-    EXPECT_EQ(t.find("a")->chosen_single, "row-parallel-twin");
-    EXPECT_EQ(t.find("a")->chosen_batch, "batch-packed-twin");
-    EXPECT_EQ(t.find("b")->chosen_single, "tiled-parallel-twin");
-    EXPECT_EQ(t.find("b")->chosen_batch, "batch-packed-twin");
-    // The binding is per layer: layer_policy() overlays the chosen name
-    // on the right slot of the network-wide policy.
-    EXPECT_EQ(engine.layer_policy(0).nm_kernel, "row-parallel-twin");
-    EXPECT_EQ(engine.layer_policy(0).nm_batch_kernel, "batch-packed-twin");
-    EXPECT_EQ(engine.layer_policy(1).dense_kernel, "tiled-parallel-twin");
-    EXPECT_EQ(engine.layer_policy(1).dense_batch_kernel, "batch-packed-twin");
-    // Every candidate table covers the whole candidate pool and records
-    // the injected timings verbatim.
+    EXPECT_TRUE(t.layers[0].nm);
+    EXPECT_FALSE(t.layers[1].nm);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(t.layers[i].chosen, "scalar");
+      EXPECT_EQ(engine.layer(i).family, &scalar_family());
+      EXPECT_EQ(engine.layer(i).kernel, "scalar");
+      EXPECT_EQ(engine.layer(i).batch_kernel, "scalar");
+    }
+    // Every candidate table covers every available family, in table
+    // order, and records the injected timings verbatim.
     for (const LayerTuning& lt : t.layers) {
-      EXPECT_EQ(lt.single.size(),
-                candidates(lt.nm ? GemmDispatch::instance().nm_kernels()
-                                 : GemmDispatch::instance().dense_kernels())
-                    .size());
-      for (const TuneCandidate& c : lt.single)
-        EXPECT_TRUE(c.ms == 1.0 || c.ms == 9.0) << c.kernel;
+      ASSERT_EQ(lt.candidates.size(), kernel_families().size());
+      for (std::size_t c = 0; c < lt.candidates.size(); ++c) {
+        const TuneCandidate& cand = lt.candidates[c];
+        EXPECT_EQ(cand.family, kernel_families()[c]->name);
+        const double want = cand.family == "scalar" ? 1.0 : 9.0;
+        EXPECT_EQ(cand.single_ms, want) << cand.family;
+        EXPECT_EQ(cand.batch_ms, want) << cand.family;
+      }
     }
   }
 }
 
 TEST(Autotune, PerLayerWinnersDivergeWhenTimingsDo) {
   // Two dense layers, opposite preferences: the binding must differ per
-  // layer even though both layers share one network-wide policy.
-  testing::register_scalar_twins();
-  auto net = two_layer_net();
+  // layer. Needs two families (the scalar CI leg has one).
+  if (kernel_families().size() < 2) GTEST_SKIP() << "one family available";
+  const std::string last = kernel_families().back()->name;
   const std::vector<std::optional<TasdConfig>> both_dense = {std::nullopt,
                                                              std::nullopt};
-  const TimerGuard guard([](const TuneMeasurement& m) {
-    const bool fast = m.layer == "a" ? m.kernel == "tiled-parallel-twin"
-                                     : m.kernel == "tiled-parallel";
+  const TimerGuard guard([&](const TuneMeasurement& m) {
+    const bool fast =
+        m.layer == "a" ? m.family == last : m.family == "scalar";
     return fast ? 0.5 : 2.0;
   });
-  const auto engine = compile(net, both_dense, autotune_opt());
-  EXPECT_EQ(engine.layer_policy(0).dense_kernel, "tiled-parallel-twin");
-  EXPECT_EQ(engine.layer_policy(1).dense_kernel, "tiled-parallel");
+  const auto engine = compile(two_layer_net(), both_dense, autotune_opt());
+  EXPECT_EQ(engine.layer(0).kernel, last);
+  EXPECT_EQ(engine.layer(1).kernel, "scalar");
 }
 
-TEST(Autotune, SingleThreadAndOracleKernelsAreNeverCandidates) {
-  // The fake timer makes every one-thread or oracle kernel look ten
-  // times faster than anything else: none may be timed or bound. (A
-  // wall-clock tune once bound "serial" on a 4% difference.)
-  const std::vector<std::string> excluded = {"serial", "tiled-serial",
-                                             "reference", "batch-loop"};
+TEST(Autotune, BatchedEqualsLoopedAfterTuning) {
+  // The mixed-family regression: a timer that favours one family on the
+  // single-RHS workload and another on the batch workload. Binding the
+  // two winners separately made run_network_batch differ bitwise from
+  // looped run_network whenever they were in different rounding
+  // families. Each layer must bind exactly one family, so the batched
+  // network equals the loop at every thread count.
+  const auto& families = kernel_families();
+  if (families.size() < 2) GTEST_SKIP() << "one family available";
+  const std::string single_fast = families.back()->name;
+  const std::string batch_fast = families[families.size() - 2]->name;
   const TimerGuard guard([&](const TuneMeasurement& m) {
-    return contains(excluded, m.kernel) ? 0.1 : 1.0;
+    if (!m.batch) return m.family == single_fast ? 1.0 : 5.0;
+    return m.family == batch_fast ? 2.0 : 5.0;
   });
-  const auto engine =
-      compile(two_layer_net(), mixed_configs(), autotune_opt());
-  ASSERT_TRUE(engine.tuning().has_value());
-  for (const LayerTuning& lt : engine.tuning()->layers) {
-    for (const auto* table : {&lt.single, &lt.batch}) {
-      ASSERT_FALSE(table->empty()) << lt.layer;
-      for (const TuneCandidate& c : *table)
-        EXPECT_FALSE(contains(excluded, c.kernel))
-            << lt.layer << " " << c.kernel;
-    }
-    EXPECT_FALSE(contains(excluded, lt.chosen_single)) << lt.layer;
-    EXPECT_FALSE(contains(excluded, lt.chosen_batch)) << lt.layer;
+
+  // A three-layer chain at decode width (the serving shape): 2:4, dense,
+  // mixed 2:8+1:8.
+  dnn::NetworkWorkload net;
+  net.name = "tune-chain";
+  net.sparse_weights = true;
+  const Index dims[] = {40, 56, 48, 32};
+  for (int i = 0; i < 3; ++i) {
+    dnn::GemmWorkload l;
+    l.name = "l" + std::to_string(i);
+    l.k = dims[i];
+    l.m = dims[i + 1];
+    l.n = 1;
+    l.weight_density = 0.3;
+    l.weight_seed = 7610 + i;
+    net.layers.push_back(l);
   }
-  for (const std::string& name : excluded)
-    EXPECT_FALSE(autotune_candidate(name)) << name;
-  EXPECT_TRUE(autotune_candidate("row-parallel"));
-  EXPECT_TRUE(autotune_candidate("batch-packed"));
+  const std::vector<std::optional<TasdConfig>> configs = {
+      TasdConfig::parse("2:4"), std::nullopt, TasdConfig::parse("2:8+1:8")};
+
+  Rng rng(7620);
+  std::vector<MatrixF> inputs;
+  for (int q = 0; q < 4; ++q)
+    inputs.push_back(random_dense(dims[0], 1, Dist::kNormalStd1, rng));
+  inputs.push_back(random_dense(dims[0], 3, Dist::kNormalStd1, rng));
+
+  for (const std::size_t threads : {0u, 1u, 2u, 5u, 8u}) {
+    CompileOptions opt = autotune_opt();
+    opt.measure.num_threads = threads;
+    const auto engine = compile(net, configs, opt);
+    ASSERT_TRUE(engine.tuning().has_value());
+    for (std::size_t i = 0; i < engine.layer_count(); ++i) {
+      const auto& l = engine.layer(i);
+      // 1 + 5 beats 5 + 2: the single-RHS winner takes both calls.
+      EXPECT_EQ(engine.tuning()->layers[i].chosen, single_fast) << i;
+      EXPECT_EQ(l.kernel, single_fast) << i;
+      EXPECT_EQ(l.batch_kernel, l.kernel) << i;
+      EXPECT_EQ(l.family, find_family(single_fast)) << i;
+    }
+    const auto batched = engine.run_network_batch(inputs);
+    ASSERT_EQ(batched.size(), inputs.size());
+    for (std::size_t q = 0; q < inputs.size(); ++q)
+      EXPECT_EQ(batched[q], engine.run_network(inputs[q]))
+          << "threads=" << threads << " item=" << q;
+  }
 }
 
-TEST(Autotune, TunedRunMatchesTheStaticallyPinnedKernelBitwise) {
-  testing::register_scalar_twins();
+TEST(Autotune, TunedRunMatchesTheStaticallyPinnedFamilyBitwise) {
   const auto net = two_layer_net();
   const TimerGuard guard([](const TuneMeasurement& m) {
-    return m.kernel == (m.nm ? "row-parallel-twin" : "tiled-parallel-twin") ||
-                   m.kernel == "batch-packed-twin"
-               ? 1.0
-               : 9.0;
+    return m.family == "scalar" ? 1.0 : 9.0;
   });
   const auto tuned = compile(net, mixed_configs(), autotune_opt());
   CompileOptions pin;
-  pin.nm_kernel = "row-parallel-twin";
-  pin.dense_kernel = "tiled-parallel-twin";
-  pin.nm_batch_kernel = "batch-packed-twin";
-  pin.dense_batch_kernel = "batch-packed-twin";
+  pin.kernel_family = "scalar";
   const auto pinned = compile(net, mixed_configs(), pin);
   Rng rng(7600);
   const MatrixF b = random_dense(net.layers[0].k, 9, Dist::kNormalStd1, rng);
@@ -186,34 +198,27 @@ TEST(Autotune, TunedRunMatchesTheStaticallyPinnedKernelBitwise) {
 
 TEST(Autotune, WallClockTuningChoosesTheTableMinimum) {
   // No hook installed: real micro-bench timings. The absolute numbers
-  // are noisy on CI, but the invariants are not — the chosen kernel is
-  // the argmin of its own candidate table, the table is exactly the
-  // slot's candidate pool, and timings are positive.
+  // are noisy on CI, but the invariants are not — the chosen family has
+  // the lowest single + batch sum of its own table, the table is
+  // exactly the available families, and timings are positive.
   const auto engine =
       compile(two_layer_net(), mixed_configs(), autotune_opt());
   ASSERT_TRUE(engine.tuning().has_value());
   for (const LayerTuning& lt : engine.tuning()->layers) {
-    const auto check = [&](const std::vector<TuneCandidate>& table,
-                           const std::string& chosen,
-                           const std::vector<std::string>& registry) {
-      ASSERT_FALSE(table.empty());
-      EXPECT_EQ(table.size(), candidates(registry).size()) << lt.layer;
-      double best = table.front().ms;
-      for (const TuneCandidate& c : table) {
-        EXPECT_GT(c.ms, 0.0) << c.kernel;
-        EXPECT_TRUE(contains(candidates(registry), c.kernel)) << c.kernel;
-        best = std::min(best, c.ms);
-      }
-      const auto it =
-          std::find_if(table.begin(), table.end(),
-                       [&](const TuneCandidate& c) { return c.kernel == chosen; });
-      ASSERT_NE(it, table.end()) << chosen;
-      EXPECT_EQ(it->ms, best) << lt.layer;
-    };
-    const auto& d = GemmDispatch::instance();
-    check(lt.single, lt.chosen_single, lt.nm ? d.nm_kernels() : d.dense_kernels());
-    check(lt.batch, lt.chosen_batch,
-          lt.nm ? d.nm_batch_kernels() : d.dense_batch_kernels());
+    ASSERT_EQ(lt.candidates.size(), kernel_families().size());
+    double best = lt.candidates.front().total_ms();
+    for (std::size_t c = 0; c < lt.candidates.size(); ++c) {
+      const TuneCandidate& cand = lt.candidates[c];
+      EXPECT_EQ(cand.family, kernel_families()[c]->name);
+      EXPECT_GT(cand.single_ms, 0.0) << cand.family;
+      EXPECT_GT(cand.batch_ms, 0.0) << cand.family;
+      best = std::min(best, cand.total_ms());
+    }
+    const auto it = std::find_if(
+        lt.candidates.begin(), lt.candidates.end(),
+        [&](const TuneCandidate& c) { return c.family == lt.chosen; });
+    ASSERT_NE(it, lt.candidates.end()) << lt.chosen;
+    EXPECT_EQ(it->total_ms(), best) << lt.layer;
   }
 }
 
@@ -224,8 +229,8 @@ TEST(Autotune, StaticPolicyCompilesWithoutTuning) {
 
 TEST(Autotune, CandidatePoolHonorsTheSimdDisableFlags) {
   // Forced-fallback coverage: under TASD_DISABLE_AVX512=1 (the avx2 CI
-  // leg) no avx512 candidate may appear in any table; with
-  // TASD_DISABLE_AVX2=1 stacked on top (the scalar leg) no avx kernel
+  // leg) no avx512 family may appear in any table; with
+  // TASD_DISABLE_AVX2=1 stacked on top (the scalar leg) no SIMD family
   // at all. On a fully enabled host this asserts the complement — the
   // SIMD families are in the pool and autotune considered them.
   const TimerGuard guard([](const TuneMeasurement&) { return 1.0; });
@@ -233,18 +238,17 @@ TEST(Autotune, CandidatePoolHonorsTheSimdDisableFlags) {
       compile(two_layer_net(), mixed_configs(), autotune_opt());
   ASSERT_TRUE(engine.tuning().has_value());
   for (const LayerTuning& lt : engine.tuning()->layers) {
-    for (const auto* table : {&lt.single, &lt.batch}) {
-      const bool has512 = std::any_of(
-          table->begin(), table->end(), [](const TuneCandidate& c) {
-            return c.kernel.find("avx512") != std::string::npos;
-          });
-      const bool has2 = std::any_of(
-          table->begin(), table->end(), [](const TuneCandidate& c) {
-            return c.kernel.find("avx2") != std::string::npos;
-          });
-      EXPECT_EQ(has512, avx512_available()) << lt.layer;
-      EXPECT_EQ(has2, avx2_available()) << lt.layer;
-    }
+    const auto has = [&](const std::string& needle) {
+      return std::any_of(lt.candidates.begin(), lt.candidates.end(),
+                         [&](const TuneCandidate& c) {
+                           return c.family.find(needle) != std::string::npos;
+                         });
+    };
+    EXPECT_EQ(has("avx512"), avx512_available()) << lt.layer;
+    EXPECT_EQ(has("avx2"), avx2_available()) << lt.layer;
+    EXPECT_TRUE(has("scalar")) << lt.layer;
+    // Identical timings: ties break toward table order, scalar first.
+    EXPECT_EQ(lt.chosen, "scalar") << lt.layer;
   }
 }
 

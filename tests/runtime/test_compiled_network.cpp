@@ -79,10 +79,10 @@ TEST(CompiledNetwork, ConfigListMustAlign) {
 TEST(CompiledNetwork, RunMatchesDirectKernelPathsAtEveryThreadCount) {
   // Acceptance invariant: run()/run_batch() are bit-identical to the
   // TasdSeriesGemm::multiply / multiply_batch (and dense_gemm) paths at
-  // every thread count. The direct paths execute under the artifact's
-  // resolved kernel selection ("auto" may bind the AVX2 family, whose
-  // bits differ from the scalar registry defaults) but on the default
-  // pool — the kernel name fixes the bits, the pool never does.
+  // every thread count. The direct paths execute under the family
+  // "auto" binds per layer ("auto" may bind a SIMD family, whose bits
+  // differ from the scalar default) but on the default pool — the
+  // family fixes the bits, the pool never does.
   const auto net = tiny_net();
   const auto cfgs = mixed_configs();
 
@@ -93,11 +93,11 @@ TEST(CompiledNetwork, RunMatchesDirectKernelPathsAtEveryThreadCount) {
   const MatrixF w0 = dnn::materialize_weight(net.layers[0]);
   const MatrixF w1 = dnn::materialize_weight(net.layers[1]);
   const TasdSeriesGemm series(plan_cache().get_or_build(w0, *cfgs[0]));
-  ExecPolicy resolved;  // what "auto" binds per layer, on the default pool
-  resolved.dense_kernel = GemmDispatch::instance().best_dense(net.layers[1].n);
-  resolved.nm_kernel = GemmDispatch::instance().best_nm(net.layers[0].n);
-  const MatrixF want0 = series.multiply(b0, resolved);
-  const MatrixF want1 = dense_gemm(w1, b1, resolved);
+  // What "auto" binds per layer, on the default pool.
+  const MatrixF want0 =
+      series.multiply(b0, {nullptr, &best_family(net.layers[0].n)});
+  const MatrixF want1 =
+      dense_gemm(w1, b1, {nullptr, &best_family(net.layers[1].n)});
 
   for (const std::size_t threads : {0u, 1u, 2u, 5u, 8u}) {
     CompileOptions opt;
@@ -250,7 +250,7 @@ TEST(CompiledNetwork, CompileFromExplicitBindings) {
   const MatrixF b = random_dense(32, 4, Dist::kNormalStd1, rng);
   const TasdSeriesGemm series(
       plan_cache().get_or_build(w0, TasdConfig::parse("2:4")));
-  EXPECT_EQ(engine.run(0, b), series.multiply(b, engine.policy()));
+  EXPECT_EQ(engine.run(0, b), series.multiply(b, engine.layer_policy(0)));
 }
 
 TEST(CompiledNetwork, CompileValidatesOptions) {
@@ -262,33 +262,28 @@ TEST(CompiledNetwork, CompileValidatesOptions) {
   EXPECT_THROW(compile(tiny_net(), mixed_configs(), bad_cols), Error);
 }
 
-TEST(CompiledNetwork, CompileRejectsUnknownKernelNamesEagerly) {
-  // Kernel binding is a compile-time promise: a name the registry does
-  // not know must fail at compile(), not mid-inference at first run().
-  for (auto field : {&CompileOptions::dense_kernel, &CompileOptions::nm_kernel,
-                     &CompileOptions::dense_batch_kernel,
-                     &CompileOptions::nm_batch_kernel}) {
-    CompileOptions opt;
-    opt.*field = "no-such-kernel";
-    EXPECT_THROW(compile(tiny_net(), mixed_configs(), opt), Error);
-  }
-  // Known non-default names still compile and execute. Within one
-  // rounding family, kernel selection only changes scheduling: the
-  // serial scalar kernels produce the same bits as the parallel scalar
-  // kernels (AVX2 kernels are a different family — docs/kernels.md).
+TEST(CompiledNetwork, CompileRejectsUnknownFamiliesEagerly) {
+  // Family binding is a compile-time promise: a name the table does not
+  // list must fail at compile(), not mid-inference at first run().
+  CompileOptions opt;
+  opt.kernel_family = "no-such-family";
+  EXPECT_THROW(compile(tiny_net(), mixed_configs(), opt), Error);
+  // Within one family, the pool only changes scheduling: the family on
+  // ThreadPool(1) — the pool's serial path — produces the same bits as
+  // on a parallel pool.
   CompileOptions serial;
-  serial.nm_kernel = "serial";
-  serial.dense_kernel = "tiled-serial";
+  serial.kernel_family = "scalar";
+  serial.measure.num_threads = 1;
   const auto engine = compile(tiny_net(), mixed_configs(), serial);
-  CompileOptions scalar;
-  scalar.nm_kernel = "row-parallel";
-  scalar.dense_kernel = "tiled-parallel";
+  CompileOptions parallel;
+  parallel.kernel_family = "scalar";
+  parallel.measure.num_threads = 4;
   Rng rng(430);
   const MatrixF b =
       random_dense(tiny_net().layers[0].k, 3, Dist::kNormalStd1, rng);
   EXPECT_EQ(engine.run(0, b),
-            compile(tiny_net(), mixed_configs(), scalar).run(0, b))
-      << "within a kernel family, selection must not change results, "
+            compile(tiny_net(), mixed_configs(), parallel).run(0, b))
+      << "within a kernel family, the pool must not change results, "
          "only scheduling";
 }
 

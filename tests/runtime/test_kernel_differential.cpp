@@ -1,10 +1,11 @@
-// Differential property sweep (ISSUE 10 satellite): one seeded
-// random-shape generator drives every registered kernel family — scalar,
-// AVX2, AVX-512, and whatever a future backend registers — through the
-// same draws and asserts the cross-kernel contract from docs/kernels.md:
+// Differential property sweep: one seeded random-shape generator drives
+// every available kernel family — scalar, AVX2, AVX-512, the GEMV
+// family, and whatever a future table row adds — through the same draws
+// and asserts the cross-family contract from docs/kernels.md:
 //
-//  * within a rounding family results are bit-identical (kernel vs
-//    kernel, batched vs looped, any thread count vs one thread);
+//  * within a rounding family (KernelFamily::rounding) results are
+//    bit-identical (family vs family, batched vs looped, any thread
+//    count vs one thread);
 //  * across families results agree with the scalar gemm_ref oracle to
 //    1e-4 float tolerance — except the decode-width GEMV family, whose
 //    tree-reduced sums are held to the operation's own fp64 bound,
@@ -16,8 +17,8 @@
 // including zero-column items, N:M patterns whose GEMV window spans
 // more than 32 k positions (1:4, 1:8, 2:8), and mixed-pattern TASD
 // series (2:8+1:8).
-// A new backend only has to register its kernels and name them into a
-// family (kernel_families.hpp) to inherit the whole sweep.
+// A new backend only has to add its table row (runtime/kernel_family.cpp)
+// to inherit the whole sweep.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,7 +29,6 @@
 #include "common/rng.hpp"
 #include "common/parallel.hpp"
 #include "core/decompose.hpp"
-#include "kernel_families.hpp"
 #include "runtime/dense_gemm.hpp"
 #include "runtime/nm_gemm.hpp"
 #include "sparse/nm_matrix.hpp"
@@ -38,9 +38,6 @@
 
 namespace tasd::rt {
 namespace {
-
-using testing::paired_single_kernel;
-using testing::rounding_family;
 
 constexpr std::size_t kDraws = 6;
 constexpr std::size_t kSweepThreads[] = {0, 1, 2, 5, 8};
@@ -111,23 +108,24 @@ struct Reference {
   std::size_t terms = 1;
 };
 
-/// Assert `out` equals the family's canonical result bitwise (recording
-/// it on first sight) and the reference within the family's tolerance.
+/// Assert `out` equals its rounding family's canonical result bitwise
+/// (recording it on first sight) and the reference within the rounding
+/// family's tolerance.
 void check_family(std::map<std::string, MatrixF>& canon,
-                  const std::string& kernel, const MatrixF& out,
+                  const KernelFamily& family, const MatrixF& out,
                   const Reference& ref, const std::string& ctx) {
-  const std::string family = rounding_family(kernel);
-  if (family == "gemv") {
+  const std::string rounding = family.rounding;
+  if (rounding == "gemv") {
     EXPECT_TRUE(within_dot_bound(out, ref.a, ref.b, ref.terms))
-        << ctx << " kernel=" << kernel;
+        << ctx << " family=" << family.name;
   } else {
     EXPECT_TRUE(allclose(out, ref.oracle, 1e-4, 1e-4))
-        << ctx << " kernel=" << kernel;
+        << ctx << " family=" << family.name;
   }
-  const auto [it, fresh] = canon.emplace(family, out);
+  const auto [it, fresh] = canon.emplace(rounding, out);
   if (!fresh) {
-    EXPECT_TRUE(out == it->second)
-        << ctx << " kernel=" << kernel << " diverges within family " << family;
+    EXPECT_TRUE(out == it->second) << ctx << " family=" << family.name
+                                   << " diverges within " << rounding;
   }
 }
 
@@ -138,20 +136,15 @@ TEST(KernelDifferential, DenseKernelsAgreeAcrossFamiliesOnRandomShapes) {
     const MatrixF b = random_dense(d.k, d.n, Dist::kNormalStd1, rng);
     const MatrixF oracle = gemm_ref(a, b);
     std::map<std::string, MatrixF> canon;
-    for (const auto& kernel : GemmDispatch::instance().dense_kernels()) {
-      ExecPolicy one_policy;
-      one_policy.dense_kernel = kernel;
+    for (const KernelFamily* family : kernel_families()) {
       ThreadPool one(1);
-      one_policy.pool = &one;
-      const MatrixF serial = dense_gemm(a, b, one_policy);
-      check_family(canon, kernel, serial, {oracle, a, b}, d.label);
+      const MatrixF serial = dense_gemm(a, b, {&one, family});
+      check_family(canon, *family, serial, {oracle, a, b}, d.label);
       for (const std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.dense_kernel = kernel;
-        EXPECT_TRUE(dense_gemm(a, b, policy) == serial)
-            << d.label << " kernel=" << kernel << " threads=" << threads;
+        EXPECT_TRUE(dense_gemm(a, b, {&pool, family}) == serial)
+            << d.label << " family=" << family->name
+            << " threads=" << threads;
       }
     }
   }
@@ -172,21 +165,16 @@ TEST(KernelDifferential, NmKernelsAgreeAcrossFamiliesOnRandomShapes) {
     const MatrixF b = random_dense(d.k, d.n, Dist::kNormalStd1, rng);
     const MatrixF oracle = gemm_ref(dense, b);
     std::map<std::string, MatrixF> canon;
-    for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
-      ExecPolicy one_policy;
-      one_policy.nm_kernel = kernel;
+    for (const KernelFamily* family : kernel_families()) {
       ThreadPool one(1);
-      one_policy.pool = &one;
-      const MatrixF serial = nm_gemm(a, b, one_policy);
-      check_family(canon, kernel, serial, {oracle, dense, b},
+      const MatrixF serial = nm_gemm(a, b, {&one, family});
+      check_family(canon, *family, serial, {oracle, dense, b},
                    d.label + " " + pattern.str());
       for (const std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_kernel = kernel;
-        EXPECT_TRUE(nm_gemm(a, b, policy) == serial)
-            << d.label << " kernel=" << kernel << " threads=" << threads;
+        EXPECT_TRUE(nm_gemm(a, b, {&pool, family}) == serial)
+            << d.label << " family=" << family->name
+            << " threads=" << threads;
       }
     }
   }
@@ -203,34 +191,22 @@ TEST(KernelDifferential, BatchKernelsMatchLoopedSinglesOnRaggedMixes) {
     for (const Index w : d.widths)
       bs.push_back(random_dense(d.k, w, Dist::kNormalStd1, rng));
 
-    for (const auto& kernel : GemmDispatch::instance().dense_batch_kernels()) {
+    for (const KernelFamily* family : kernel_families()) {
       for (const std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.dense_batch_kernel = kernel;
-        policy.dense_kernel = paired_single_kernel(kernel, /*dense=*/true);
-        const auto batch = dense_gemm_batch(aw, bs, policy);
-        ASSERT_EQ(batch.size(), bs.size());
-        for (std::size_t q = 0; q < bs.size(); ++q)
-          EXPECT_TRUE(batch[q] == dense_gemm(aw, bs[q], policy))
-              << d.label << " kernel=" << kernel << " threads=" << threads
-              << " item=" << q;
-      }
-    }
-    for (const auto& kernel : GemmDispatch::instance().nm_batch_kernels()) {
-      for (const std::size_t threads : kSweepThreads) {
-        ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
-        policy.nm_kernel = paired_single_kernel(kernel, /*dense=*/false);
-        const auto batch = nm_gemm_batch(an, bs, policy);
-        ASSERT_EQ(batch.size(), bs.size());
-        for (std::size_t q = 0; q < bs.size(); ++q)
-          EXPECT_TRUE(batch[q] == nm_gemm(an, bs[q], policy))
-              << d.label << " kernel=" << kernel << " threads=" << threads
-              << " item=" << q;
+        const ExecPolicy policy{&pool, family};
+        const auto dense_batch = dense_gemm_batch(aw, bs, policy);
+        const auto nm_batch = nm_gemm_batch(an, bs, policy);
+        ASSERT_EQ(dense_batch.size(), bs.size());
+        ASSERT_EQ(nm_batch.size(), bs.size());
+        for (std::size_t q = 0; q < bs.size(); ++q) {
+          EXPECT_TRUE(dense_batch[q] == dense_gemm(aw, bs[q], policy))
+              << d.label << " family=" << family->name
+              << " threads=" << threads << " item=" << q;
+          EXPECT_TRUE(nm_batch[q] == nm_gemm(an, bs[q], policy))
+              << d.label << " family=" << family->name
+              << " threads=" << threads << " item=" << q;
+        }
       }
     }
   }
@@ -238,7 +214,7 @@ TEST(KernelDifferential, BatchKernelsMatchLoopedSinglesOnRaggedMixes) {
 
 TEST(KernelDifferential, MixedPatternSeriesAgreesAcrossFamilies) {
   // The full TASD pipeline (mixed 2:8+1:8 decomposition, two series
-  // terms) under each registered nm kernel: families agree bitwise
+  // terms) under each available family: rounding families agree bitwise
   // internally and with the functional model to tolerance.
   for (const Draw& d : make_draws(7401)) {
     Rng rng(7402);
@@ -250,24 +226,11 @@ TEST(KernelDifferential, MixedPatternSeriesAgreesAcrossFamilies) {
     const MatrixF approx = dec.approximation();
     const MatrixF functional = gemm_ref(approx, b);
     std::map<std::string, MatrixF> canon;
-    for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
-      ExecPolicy policy;
-      policy.nm_kernel = kernel;
-      check_family(canon, kernel, series.multiply(b, policy),
+    for (const KernelFamily* family : kernel_families()) {
+      check_family(canon, *family, series.multiply(b, {nullptr, family}),
                    {functional, approx, b, dec.terms.size()}, d.label);
     }
   }
-}
-
-/// The registered batch kernels of the decode-width GEMV family (none on
-/// hosts or CI legs without AVX-512).
-std::vector<std::string> gemv_batch_kernels(bool dense) {
-  const auto& dispatch = GemmDispatch::instance();
-  std::vector<std::string> out;
-  for (const auto& name :
-       dense ? dispatch.dense_batch_kernels() : dispatch.nm_batch_kernels())
-    if (rounding_family(name) == "gemv") out.push_back(name);
-  return out;
 }
 
 /// Items of every width 0..33; the series path packs them into one
@@ -286,6 +249,8 @@ TEST(KernelDifferential, GemvFamilyCoversEveryPatternAndPackedWidth) {
   // (a multiple of neither M nor the window), against every width
   // 0..33: bit-exact across thread counts, batched == looped, and
   // within the fp64 dot bound.
+  const KernelFamily* gemv = find_family("gemv-avx512");
+  if (gemv == nullptr) GTEST_SKIP() << "no GEMV family on this host";
   const char* const patterns[] = {"2:4", "1:4", "1:8", "2:8",   "4:8",
                                   "3:5", "8:16", "16:16", "20:32", "0:4"};
   Rng rng(7501);
@@ -301,27 +266,19 @@ TEST(KernelDifferential, GemvFamilyCoversEveryPatternAndPackedWidth) {
     const auto bs = every_width(k, rng);
     const std::string ctx = std::string(text) + " m=" + std::to_string(m) +
                             " k=" + std::to_string(k);
-    for (const auto& kernel : gemv_batch_kernels(/*dense=*/false)) {
-      ExecPolicy looped;
-      looped.nm_kernel = paired_single_kernel(kernel, /*dense=*/false);
-      ThreadPool one(1);
-      looped.pool = &one;
-      std::vector<MatrixF> want;
-      for (const MatrixF& b : bs) {
-        want.push_back(nm_gemm(a, b, looped));
-        EXPECT_TRUE(within_dot_bound(want.back(), dense, b, 1))
-            << ctx << " width=" << b.cols();
-      }
-      for (const std::size_t threads : kSweepThreads) {
-        ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
-        const auto got = nm_gemm_batch(a, bs, policy);
-        for (std::size_t q = 0; q < bs.size(); ++q)
-          EXPECT_TRUE(got[q] == want[q])
-              << ctx << " threads=" << threads << " width=" << q;
-      }
+    ThreadPool one(1);
+    std::vector<MatrixF> want;
+    for (const MatrixF& b : bs) {
+      want.push_back(nm_gemm(a, b, {&one, gemv}));
+      EXPECT_TRUE(within_dot_bound(want.back(), dense, b, 1))
+          << ctx << " width=" << b.cols();
+    }
+    for (const std::size_t threads : kSweepThreads) {
+      ThreadPool pool(threads);
+      const auto got = nm_gemm_batch(a, bs, {&pool, gemv});
+      for (std::size_t q = 0; q < bs.size(); ++q)
+        EXPECT_TRUE(got[q] == want[q])
+            << ctx << " threads=" << threads << " width=" << q;
     }
   }
 }
@@ -330,6 +287,8 @@ TEST(KernelDifferential, GemvFamilyBatchesEqualLoopsAtEveryPackedWidth) {
   // The dense core and a mixed 2:8+1:8 series (two terms, both gather
   // windows) through the packed batch path: each item bitwise equal to
   // its own single-RHS run at every thread count.
+  const KernelFamily* gemv = find_family("gemv-avx512");
+  if (gemv == nullptr) GTEST_SKIP() << "no GEMV family on this host";
   Rng rng(7601);
   const Index m = 37, k = 203;
   const MatrixF w = random_dense(m, k, Dist::kNormalStd1, rng);
@@ -339,37 +298,22 @@ TEST(KernelDifferential, GemvFamilyBatchesEqualLoopsAtEveryPackedWidth) {
   const TasdSeriesGemm series(dec);
   const MatrixF approx = dec.approximation();
   const auto bs = every_width(k, rng);
-  for (const auto& kernel : gemv_batch_kernels(/*dense=*/true)) {
-    ExecPolicy single;
-    single.dense_kernel = paired_single_kernel(kernel, /*dense=*/true);
-    for (const std::size_t threads : kSweepThreads) {
-      ThreadPool pool(threads);
-      ExecPolicy policy;
-      policy.pool = &pool;
-      policy.dense_batch_kernel = kernel;
-      const auto got = dense_gemm_batch(w, bs, policy);
-      for (std::size_t q = 0; q < bs.size(); ++q) {
-        const MatrixF want = dense_gemm(w, bs[q], single);
-        EXPECT_TRUE(got[q] == want) << "threads=" << threads << " width=" << q;
-        EXPECT_TRUE(within_dot_bound(want, w, bs[q], 1)) << "width=" << q;
-      }
-    }
-  }
-  for (const auto& kernel : gemv_batch_kernels(/*dense=*/false)) {
-    ExecPolicy single;
-    single.nm_kernel = paired_single_kernel(kernel, /*dense=*/false);
-    for (const std::size_t threads : kSweepThreads) {
-      ThreadPool pool(threads);
-      ExecPolicy policy;
-      policy.pool = &pool;
-      policy.nm_batch_kernel = kernel;
-      const auto got = series.multiply_batch(bs, policy);
-      for (std::size_t q = 0; q < bs.size(); ++q) {
-        const MatrixF want = series.multiply(bs[q], single);
-        EXPECT_TRUE(got[q] == want) << "threads=" << threads << " width=" << q;
-        EXPECT_TRUE(within_dot_bound(want, approx, bs[q], dec.terms.size()))
-            << "width=" << q;
-      }
+  const ExecPolicy single{nullptr, gemv};
+  for (const std::size_t threads : kSweepThreads) {
+    ThreadPool pool(threads);
+    const auto got_dense = dense_gemm_batch(w, bs, {&pool, gemv});
+    const auto got_series = series.multiply_batch(bs, {&pool, gemv});
+    for (std::size_t q = 0; q < bs.size(); ++q) {
+      const MatrixF want_dense = dense_gemm(w, bs[q], single);
+      EXPECT_TRUE(got_dense[q] == want_dense)
+          << "threads=" << threads << " width=" << q;
+      EXPECT_TRUE(within_dot_bound(want_dense, w, bs[q], 1)) << "width=" << q;
+      const MatrixF want_series = series.multiply(bs[q], single);
+      EXPECT_TRUE(got_series[q] == want_series)
+          << "threads=" << threads << " width=" << q;
+      EXPECT_TRUE(
+          within_dot_bound(want_series, approx, bs[q], dec.terms.size()))
+          << "width=" << q;
     }
   }
 }

@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "core/decompose.hpp"
-#include "kernel_families.hpp"
 #include "runtime/dense_gemm.hpp"
 #include "runtime/nm_gemm.hpp"
 #include "tensor/gemm_ref.hpp"
@@ -60,43 +59,35 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelCase{"2:4+2:8", 0.7, 16, 30, 5},  // ragged K
                       KernelCase{"1:4", 1.0, 4, 7, 3}));      // tiny ragged
 
-// --- Registry-wide property sweep: every registered kernel name (scalar
-// and AVX2 families, single-RHS and batch) × threads {0, 1, 2, 5, 8}.
-// Each kernel must (a) agree with the tensor/gemm_ref oracle to float
-// tolerance and (b) be bit-identical to its own 1-thread run; each batch
-// kernel must be bit-identical to looping its family's single-RHS kernel
-// over a ragged batch mix.
+// --- Family-wide property sweep: every available kernel family (dense
+// and N:M entries) x threads {0, 1, 2, 5, 8}. Each family must (a) agree
+// with the tensor/gemm_ref oracle to float tolerance, (b) be
+// bit-identical to its own run on ThreadPool(1) — the pool's serial
+// path — and (c) give batched output bit-identical to looping its
+// single-RHS call over a ragged batch mix.
 
 const std::size_t kSweepThreads[] = {0, 1, 2, 5, 8};
 
-using testing::paired_single_kernel;
-
-TEST(KernelRegistrySweep, EveryDenseKernelMatchesOracleAndItsSerialSelf) {
+TEST(KernelFamilySweep, EveryDenseEntryMatchesOracleAndItsSerialSelf) {
   Rng rng(6001);
   // Odd shape: m=1 row chunk, k not a multiple of the unroll, n crossing
   // the 32/8-lane vector blocks with a scalar remainder.
   const MatrixF a = random_dense(13, 30, Dist::kNormalStd1, rng);
   const MatrixF b = random_dense(30, 43, Dist::kNormalStd1, rng);
   const MatrixF oracle = gemm_ref(a, b);
-  for (const auto& kernel : GemmDispatch::instance().dense_kernels()) {
-    ExecPolicy serial_policy;
-    serial_policy.dense_kernel = kernel;
+  for (const KernelFamily* family : kernel_families()) {
     ThreadPool one(1);
-    serial_policy.pool = &one;
-    const MatrixF reference = dense_gemm(a, b, serial_policy);
-    EXPECT_TRUE(allclose(reference, oracle, 1e-4, 1e-4)) << kernel;
+    const MatrixF reference = dense_gemm(a, b, {&one, family});
+    EXPECT_TRUE(allclose(reference, oracle, 1e-4, 1e-4)) << family->name;
     for (std::size_t threads : kSweepThreads) {
       ThreadPool pool(threads);
-      ExecPolicy policy;
-      policy.pool = &pool;
-      policy.dense_kernel = kernel;
-      EXPECT_TRUE(dense_gemm(a, b, policy) == reference)
-          << kernel << " threads=" << threads;
+      EXPECT_TRUE(dense_gemm(a, b, {&pool, family}) == reference)
+          << family->name << " threads=" << threads;
     }
   }
 }
 
-TEST(KernelRegistrySweep, EveryNmKernelMatchesOracleAndItsSerialSelf) {
+TEST(KernelFamilySweep, EveryNmEntryMatchesOracleAndItsSerialSelf) {
   Rng rng(6002);
   const MatrixF dense =
       random_unstructured(17, 40, 0.4, Dist::kNormalStd1, rng);
@@ -104,25 +95,19 @@ TEST(KernelRegistrySweep, EveryNmKernelMatchesOracleAndItsSerialSelf) {
   const sparse::NMSparseMatrix a = d.terms[0].compressed();
   const MatrixF b = random_dense(40, 37, Dist::kNormalStd1, rng);
   const MatrixF oracle = gemm_ref(d.terms[0].dense, b);
-  for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
-    ExecPolicy serial_policy;
-    serial_policy.nm_kernel = kernel;
+  for (const KernelFamily* family : kernel_families()) {
     ThreadPool one(1);
-    serial_policy.pool = &one;
-    const MatrixF reference = nm_gemm(a, b, serial_policy);
-    EXPECT_TRUE(allclose(reference, oracle, 1e-4, 1e-4)) << kernel;
+    const MatrixF reference = nm_gemm(a, b, {&one, family});
+    EXPECT_TRUE(allclose(reference, oracle, 1e-4, 1e-4)) << family->name;
     for (std::size_t threads : kSweepThreads) {
       ThreadPool pool(threads);
-      ExecPolicy policy;
-      policy.pool = &pool;
-      policy.nm_kernel = kernel;
-      EXPECT_TRUE(nm_gemm(a, b, policy) == reference)
-          << kernel << " threads=" << threads;
+      EXPECT_TRUE(nm_gemm(a, b, {&pool, family}) == reference)
+          << family->name << " threads=" << threads;
     }
   }
 }
 
-TEST(KernelRegistrySweep, EveryBatchKernelMatchesItsFamilyOnRaggedMixes) {
+TEST(KernelFamilySweep, EveryFamilyBatchesEqualItsLoopOnRaggedMixes) {
   Rng rng(6003);
   const MatrixF aw = random_dense(21, 36, Dist::kNormalStd1, rng);
   const MatrixF nm_dense =
@@ -130,44 +115,29 @@ TEST(KernelRegistrySweep, EveryBatchKernelMatchesItsFamilyOnRaggedMixes) {
   const auto d = decompose(nm_dense, TasdConfig::parse("2:4"));
   const sparse::NMSparseMatrix an = d.terms[0].compressed();
   // Ragged mixes: GEMV-style width-1 queries, a zero-column item, and
-  // widths straddling the batch column grain.
+  // packed widths past one 128-column block.
   const std::vector<std::vector<Index>> mixes = {
       {1, 1, 1, 1}, {5, 0, 2, 9, 1}, {130, 3, 31}};
   for (const auto& widths : mixes) {
     std::vector<MatrixF> bs;
     for (Index w : widths)
       bs.push_back(random_dense(36, w, Dist::kNormalStd1, rng));
-    for (const auto& kernel :
-         GemmDispatch::instance().dense_batch_kernels()) {
-      ExecPolicy single;
-      single.dense_kernel = paired_single_kernel(kernel, true);
-      std::vector<MatrixF> want;
-      for (const auto& b : bs) want.push_back(dense_gemm(aw, b, single));
-      for (std::size_t threads : kSweepThreads) {
-        ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.dense_batch_kernel = kernel;
-        const auto cs = dense_gemm_batch(aw, bs, policy);
-        for (std::size_t i = 0; i < cs.size(); ++i)
-          EXPECT_TRUE(cs[i] == want[i])
-              << kernel << " threads=" << threads << " item=" << i;
+    for (const KernelFamily* family : kernel_families()) {
+      std::vector<MatrixF> want_dense, want_nm;
+      for (const auto& b : bs) {
+        want_dense.push_back(dense_gemm(aw, b, {nullptr, family}));
+        want_nm.push_back(nm_gemm(an, b, {nullptr, family}));
       }
-    }
-    for (const auto& kernel : GemmDispatch::instance().nm_batch_kernels()) {
-      ExecPolicy single;
-      single.nm_kernel = paired_single_kernel(kernel, false);
-      std::vector<MatrixF> want;
-      for (const auto& b : bs) want.push_back(nm_gemm(an, b, single));
       for (std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
-        const auto cs = nm_gemm_batch(an, bs, policy);
-        for (std::size_t i = 0; i < cs.size(); ++i)
-          EXPECT_TRUE(cs[i] == want[i])
-              << kernel << " threads=" << threads << " item=" << i;
+        const auto cd = dense_gemm_batch(aw, bs, {&pool, family});
+        const auto cn = nm_gemm_batch(an, bs, {&pool, family});
+        for (std::size_t i = 0; i < bs.size(); ++i) {
+          EXPECT_TRUE(cd[i] == want_dense[i])
+              << family->name << " dense threads=" << threads << " item=" << i;
+          EXPECT_TRUE(cn[i] == want_nm[i])
+              << family->name << " nm threads=" << threads << " item=" << i;
+        }
       }
     }
   }

@@ -1,14 +1,14 @@
-// Kernel auto-selection: CompileOptions' "auto" names resolve through
-// GemmDispatch::best_*() at compile() time — per layer at its width
-// (positions 1..8 bind the decode-width GEMV family when registered),
-// then the static fallback chain avx512 > avx2 > scalar, walking down as
-// runtime detection (or the TASD_DISABLE_AVX512 / TASD_DISABLE_AVX2
-// escape hatches the CI matrix legs set) removes families. On a
-// scalar-only pool "auto" must bind the tiled kernels and stay
-// bit-exact.
+// Kernel-family selection: CompileOptions::kernel_family "auto" resolves
+// through best_family() at compile() time — per layer at its width
+// (positions 1..8 bind the decode-width GEMV family when available),
+// then the static chain avx512 > avx2 > scalar, walking down as runtime
+// detection (or the TASD_DISABLE_AVX512 / TASD_DISABLE_AVX2 escape
+// hatches the CI matrix legs set) removes families. On a scalar-only
+// pool "auto" must bind the scalar family and stay bit-exact.
 #include <gtest/gtest.h>
 
 #include "common/cpu_features.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/dense_gemm.hpp"
@@ -43,42 +43,28 @@ std::vector<std::optional<TasdConfig>> mixed_configs() {
 
 TEST(KernelSelection, AutoResolvesToBestAtCompileTime) {
   const auto engine = compile(tiny_net(), mixed_configs(), {});
-  const auto& dispatch = GemmDispatch::instance();
-  const auto& opt = engine.options();
-  // The artifact's bound names are concrete registry names, never the
-  // "auto" sentinel, and equal the registry's best picks.
-  EXPECT_EQ(opt.dense_kernel, dispatch.best_dense());
-  EXPECT_EQ(opt.nm_kernel, dispatch.best_nm());
-  EXPECT_EQ(opt.dense_batch_kernel, dispatch.best_dense_batch());
-  EXPECT_EQ(opt.nm_batch_kernel, dispatch.best_nm_batch());
-  // Each layer binds through the same resolver at its own width (32
-  // positions here: the wide chain, equal to the network-wide names).
+  // Each layer binds one concrete family (never the "auto" sentinel) at
+  // its own width — 32 positions here: the wide chain — and reports its
+  // name in both name fields.
   for (std::size_t i = 0; i < engine.layer_count(); ++i) {
     const auto& l = engine.layer(i);
-    const bool nm = l.series.has_value();
-    EXPECT_EQ(l.kernel, nm ? dispatch.best_nm(l.n) : dispatch.best_dense(l.n));
-    EXPECT_EQ(l.batch_kernel, nm ? dispatch.best_nm_batch(l.n)
-                                 : dispatch.best_dense_batch(l.n));
-    EXPECT_EQ(l.kernel, nm ? opt.nm_kernel : opt.dense_kernel);
+    EXPECT_EQ(l.family, &best_family(l.n));
+    EXPECT_EQ(l.kernel, l.family->name);
+    EXPECT_EQ(l.batch_kernel, l.family->name);
+    EXPECT_EQ(engine.layer_policy(i).family, l.family);
   }
+  const std::string bound = engine.layer(0).kernel;
   if (avx512_available()) {
-    // Static chain head: AVX-512 outranks AVX2 when both registered.
-    EXPECT_EQ(opt.dense_kernel, "dense-avx512");
-    EXPECT_EQ(opt.nm_kernel, "nm-avx512");
-    EXPECT_EQ(opt.dense_batch_kernel, "dense-batch-avx512");
-    EXPECT_EQ(opt.nm_batch_kernel, "nm-batch-avx512");
+    // Static chain head: AVX-512 outranks AVX2 when both are available.
+    EXPECT_EQ(bound, "avx512");
   } else if (avx2_available()) {
     // Middle of the chain: no AVX-512 (hardware or TASD_DISABLE_AVX512
     // as in the avx2 CI leg) falls to the AVX2 family.
-    EXPECT_EQ(opt.dense_kernel, "dense-avx2");
-    EXPECT_EQ(opt.nm_kernel, "nm-avx2");
+    EXPECT_EQ(bound, "avx2");
   } else {
     // Forced-fallback acceptance: without any SIMD family the auto
-    // selection must pick the scalar tiled kernels.
-    EXPECT_EQ(opt.dense_kernel, "tiled-parallel");
-    EXPECT_EQ(opt.nm_kernel, "row-parallel");
-    EXPECT_EQ(opt.dense_batch_kernel, "batch-packed");
-    EXPECT_EQ(opt.nm_batch_kernel, "batch-packed");
+    // selection must pick the scalar family.
+    EXPECT_EQ(bound, "scalar");
   }
 }
 
@@ -92,54 +78,52 @@ dnn::NetworkWorkload tiny_net_at(Index positions) {
 TEST(KernelSelection, DecodeWidthLayersBindTheGemvFamily) {
   // Positions 1..8 bind the k-vectorized GEMV family on AVX-512 hosts;
   // without it (TASD_DISABLE_AVX512, the avx2 and scalar CI legs, or
-  // older hardware) they keep the wide chain's names. Width 0 (unknown)
-  // and 9+ always take the wide chain.
-  const auto& dispatch = GemmDispatch::instance();
+  // older hardware) they keep the wide chain's family. Width 0
+  // (unknown) and 9+ always take the wide chain.
   for (const Index positions : {1u, 8u}) {
     const auto engine = compile(tiny_net_at(positions), mixed_configs(), {});
-    const auto& nm = engine.layer(0);
-    const auto& dense = engine.layer(1);
-    EXPECT_EQ(nm.kernel, dispatch.best_nm(positions));
-    EXPECT_EQ(nm.batch_kernel, dispatch.best_nm_batch(positions));
-    EXPECT_EQ(dense.kernel, dispatch.best_dense(positions));
-    EXPECT_EQ(dense.batch_kernel, dispatch.best_dense_batch(positions));
-    if (avx512_available()) {
-      EXPECT_EQ(nm.kernel, "nm-gemv-avx512");
-      EXPECT_EQ(nm.batch_kernel, "nm-batch-gemv-avx512");
-      EXPECT_EQ(dense.kernel, "dense-gemv-avx512");
-      EXPECT_EQ(dense.batch_kernel, "dense-batch-gemv-avx512");
-    } else {
-      // Today's names: the widest registered family, scalar last.
-      EXPECT_EQ(nm.kernel, dispatch.best_nm());
-      EXPECT_EQ(nm.batch_kernel, dispatch.best_nm_batch());
-      EXPECT_EQ(dense.kernel, dispatch.best_dense());
-      EXPECT_EQ(dense.batch_kernel, dispatch.best_dense_batch());
+    for (std::size_t i = 0; i < engine.layer_count(); ++i) {
+      const auto& l = engine.layer(i);
+      EXPECT_EQ(l.family, &best_family(positions)) << i;
+      if (avx512_available()) {
+        EXPECT_EQ(l.kernel, "gemv-avx512") << i;
+      } else {
+        EXPECT_EQ(l.family, &best_family()) << i;
+      }
     }
-    // The network-wide names (policy(), measure()) stay the wide chain.
-    EXPECT_EQ(engine.options().nm_kernel, dispatch.best_nm());
   }
-  for (const Index width : {0u, 9u, 64u}) {
-    EXPECT_EQ(dispatch.best_nm(width), dispatch.best_nm());
-    EXPECT_EQ(dispatch.best_dense(width), dispatch.best_dense());
-    EXPECT_EQ(dispatch.best_nm_batch(width), dispatch.best_nm_batch());
-    EXPECT_EQ(dispatch.best_dense_batch(width), dispatch.best_dense_batch());
+  for (const Index width : {0u, 9u, 64u})
+    EXPECT_EQ(&best_family(width), &best_family());
+}
+
+TEST(KernelSelection, NamedFamilyBindsEveryLayerAtEveryWidth) {
+  // A named family is honoured at every width — the scalar pin of
+  // fig16_real_system keeps working — for both run() and run_batch().
+  for (const KernelFamily* family : kernel_families()) {
+    CompileOptions pin;
+    pin.kernel_family = family->name;
+    const auto engine = compile(tiny_net_at(1), mixed_configs(), pin);
+    for (std::size_t i = 0; i < engine.layer_count(); ++i) {
+      EXPECT_EQ(engine.layer(i).family, family) << i;
+      EXPECT_EQ(engine.layer(i).kernel, family->name) << i;
+      EXPECT_EQ(engine.layer(i).batch_kernel, family->name) << i;
+    }
   }
 }
 
-TEST(KernelSelection, ExplicitNamesAreKeptAtDecodeWidth) {
-  // An explicit name is honoured at every width — the scalar pin of
-  // fig16_real_system keeps working — and "auto" in one slot does not
-  // leak into the explicitly named ones.
-  CompileOptions pin;
-  pin.nm_kernel = "row-parallel";
-  pin.dense_kernel = "tiled-parallel";
-  pin.nm_batch_kernel = "batch-packed";
-  const auto engine = compile(tiny_net_at(1), mixed_configs(), pin);
-  EXPECT_EQ(engine.layer(0).kernel, "row-parallel");
-  EXPECT_EQ(engine.layer(0).batch_kernel, "batch-packed");
-  EXPECT_EQ(engine.layer(1).kernel, "tiled-parallel");
-  EXPECT_EQ(engine.layer(1).batch_kernel,
-            GemmDispatch::instance().best_dense_batch(1));
+TEST(KernelSelection, UnknownFamilyFailsAtCompileTime) {
+  for (const char* name : {"no-such-family", "", "tiled-parallel"}) {
+    CompileOptions opt;
+    opt.kernel_family = name;
+    try {
+      (void)compile(tiny_net(), mixed_configs(), opt);
+      FAIL() << "compile must reject kernel_family '" << name << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Error::Code::kInvalidArgument);
+      EXPECT_NE(std::string(e.what()).find("scalar"), std::string::npos)
+          << "the error lists the available families: " << e.what();
+    }
+  }
 }
 
 TEST(KernelSelection, DecodeWidthBindingRunsBitExactBatchedAndLooped) {
@@ -169,9 +153,9 @@ TEST(KernelSelection, DecodeWidthBindingRunsBitExactBatchedAndLooped) {
   }
 }
 
-TEST(KernelSelection, AutoSelectedKernelsStayBitExact) {
+TEST(KernelSelection, AutoSelectedFamiliesStayBitExact) {
   // Whatever family "auto" bound: run() matches the direct kernel path
-  // under the resolved policy bitwise at several thread counts, the
+  // under the layer's policy bitwise at several thread counts, the
   // batched path matches looped run(), and the result agrees with the
   // scalar oracle to float tolerance.
   const auto net = tiny_net();
@@ -180,8 +164,7 @@ TEST(KernelSelection, AutoSelectedKernelsStayBitExact) {
   const MatrixF b = random_dense(net.layers[0].k, 11, Dist::kNormalStd1, rng);
   const MatrixF w1 = dnn::materialize_weight(net.layers[1]);
 
-  ExecPolicy resolved = engine.policy();
-  const MatrixF dense_direct = dense_gemm(w1, b, resolved);
+  const MatrixF dense_direct = dense_gemm(w1, b, engine.layer_policy(1));
   EXPECT_EQ(engine.run(1, b), dense_direct);
   EXPECT_TRUE(allclose(dense_direct, gemm_ref(w1, b), 1e-4, 1e-4));
 
@@ -200,47 +183,45 @@ TEST(KernelSelection, AutoSelectedKernelsStayBitExact) {
   }
 }
 
-TEST(KernelSelection, EmptyNamesKeepRegistryDefaults) {
-  // "" (the pre-auto spelling) still means the registry defaults, which
-  // stay scalar — existing callers that pinned the defaults keep their
-  // exact bits regardless of what hardware the process lands on.
-  CompileOptions opt;
-  opt.dense_kernel.clear();
-  opt.nm_kernel.clear();
-  opt.dense_batch_kernel.clear();
-  opt.nm_batch_kernel.clear();
-  const auto engine = compile(tiny_net(), mixed_configs(), opt);
-  EXPECT_EQ(engine.options().dense_kernel, "");
-  Rng rng(9300);
-  const MatrixF b =
-      random_dense(tiny_net().layers[0].k, 5, Dist::kNormalStd1, rng);
-  CompileOptions scalar;
-  scalar.dense_kernel = "tiled-parallel";
-  scalar.nm_kernel = "row-parallel";
-  scalar.dense_batch_kernel = "batch-packed";
-  scalar.nm_batch_kernel = "batch-packed";
-  const auto pinned = compile(tiny_net(), mixed_configs(), scalar);
-  EXPECT_EQ(engine.run(0, b), pinned.run(0, b));
-  EXPECT_EQ(engine.run(1, b), pinned.run(1, b));
-}
-
-TEST(KernelSelection, ScalarFallbackSelectionIsBitExactToPinnedScalar) {
+TEST(KernelSelection, AutoSelectionIsBitExactToPinningItsFamily) {
   // When best == scalar (non-AVX2 machine or TASD_DISABLE_AVX2=1), the
   // auto artifact must be indistinguishable from explicitly pinning the
-  // scalar kernels. On AVX2 machines this asserts the complementary
-  // fact for the AVX2 family.
+  // scalar family; on SIMD machines this asserts the same for the SIMD
+  // family "auto" bound.
   const auto net = tiny_net();
   const auto auto_engine = compile(net, mixed_configs(), {});
   CompileOptions pin;
-  pin.dense_kernel = auto_engine.options().dense_kernel;
-  pin.nm_kernel = auto_engine.options().nm_kernel;
-  pin.dense_batch_kernel = auto_engine.options().dense_batch_kernel;
-  pin.nm_batch_kernel = auto_engine.options().nm_batch_kernel;
+  pin.kernel_family = auto_engine.layer(0).kernel;
   const auto pinned = compile(net, mixed_configs(), pin);
   Rng rng(9400);
   const MatrixF b = random_dense(net.layers[0].k, 7, Dist::kNormalStd1, rng);
   EXPECT_EQ(auto_engine.run(0, b), pinned.run(0, b));
   EXPECT_EQ(auto_engine.run(1, b), pinned.run(1, b));
+}
+
+TEST(KernelSelection, MeasureTimesEachLayersBoundFamily) {
+  // measure() and serving_throughput() time each layer's own family: a
+  // width-1 layer reports the GEMV family on AVX-512 hosts and the wide
+  // chain's family on the other legs, next to a wide layer on the wide
+  // chain.
+  auto net = tiny_net();
+  net.layers[0].n = 1;
+  CompileOptions opt;
+  opt.measure.repeats = 1;
+  const auto engine = compile(net, mixed_configs(), opt);
+  const auto timings = engine.measure();
+  ASSERT_EQ(timings.size(), 2u);
+  EXPECT_EQ(timings[0].family,
+            avx512_available() ? "gemv-avx512" : best_family().name);
+  EXPECT_EQ(timings[1].family, best_family().name);
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    EXPECT_EQ(timings[i].family, engine.layer(i).kernel);
+    EXPECT_GT(timings[i].dense_ms, 0.0);
+  }
+  EXPECT_GT(timings[0].tasd_ms, 0.0);
+  const auto serving = engine.serving_throughput({1, 4});
+  ASSERT_EQ(serving.size(), 2u);
+  for (const auto& r : serving) EXPECT_GT(r.tasd_qps, 0.0);
 }
 
 }  // namespace

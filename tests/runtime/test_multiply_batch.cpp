@@ -1,11 +1,10 @@
 // Bit-exactness of the batched serving path: dense_gemm_batch,
 // nm_gemm_batch and TasdSeriesGemm::multiply_batch must produce outputs
 // `==` to looping the single-RHS kernel over the batch, at every thread
-// count, for every registered batch kernel, across ragged batch sizes
+// count, for every available kernel family, across ragged batch sizes
 // and ragged per-item widths.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,9 +12,8 @@
 #include "common/rng.hpp"
 #include "core/decompose.hpp"
 #include "core/plan_cache.hpp"
-#include "kernel_families.hpp"
 #include "runtime/dense_gemm.hpp"
-#include "runtime/gemm_dispatch.hpp"
+#include "runtime/kernel_family.hpp"
 #include "runtime/nm_gemm.hpp"
 #include "tensor/generator.hpp"
 
@@ -24,11 +22,9 @@ namespace {
 
 const std::size_t kThreadCounts[] = {0, 1, 2, 5, 8};
 
-using testing::paired_single_kernel;
-
 // Ragged batches: singleton, GEMV-style uniform width 1, ragged widths
-// (including a zero-column item), and a batch larger than the tile grid's
-// column grain would fill at width 1.
+// (including a zero-column item), a batch of 17 width-1 queries (past
+// the GEMV family's 8-column groups), and a packed width past 128.
 std::vector<std::vector<Index>> batch_shapes() {
   return {
       {5},
@@ -53,22 +49,17 @@ TEST(MultiplyBatch, DenseBatchBitIdenticalToSingleLoop) {
   const MatrixF a = random_dense(33, 50, Dist::kNormalStd1, rng);
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(a.cols(), widths, rng);
-    for (const std::string& kernel :
-         GemmDispatch::instance().dense_batch_kernels()) {
-      ExecPolicy single;
-      single.dense_kernel = paired_single_kernel(kernel, true);
+    for (const KernelFamily* family : kernel_families()) {
       std::vector<MatrixF> expected;
-      for (const auto& b : bs) expected.push_back(dense_gemm(a, b, single));
+      for (const auto& b : bs)
+        expected.push_back(dense_gemm(a, b, {nullptr, family}));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.dense_batch_kernel = kernel;
-        const auto cs = dense_gemm_batch(a, bs, policy);
+        const auto cs = dense_gemm_batch(a, bs, {&pool, family});
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
           EXPECT_TRUE(cs[i] == expected[i])
-              << kernel << " threads=" << threads << " item=" << i;
+              << family->name << " threads=" << threads << " item=" << i;
       }
     }
   }
@@ -82,22 +73,17 @@ TEST(MultiplyBatch, NmBatchBitIdenticalToSingleLoop) {
   const sparse::NMSparseMatrix a = d.terms[0].compressed();
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(a.cols(), widths, rng);
-    for (const std::string& kernel :
-         GemmDispatch::instance().nm_batch_kernels()) {
-      ExecPolicy single;
-      single.nm_kernel = paired_single_kernel(kernel, false);
+    for (const KernelFamily* family : kernel_families()) {
       std::vector<MatrixF> expected;
-      for (const auto& b : bs) expected.push_back(nm_gemm(a, b, single));
+      for (const auto& b : bs)
+        expected.push_back(nm_gemm(a, b, {nullptr, family}));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
-        const auto cs = nm_gemm_batch(a, bs, policy);
+        const auto cs = nm_gemm_batch(a, bs, {&pool, family});
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
           EXPECT_TRUE(cs[i] == expected[i])
-              << kernel << " threads=" << threads << " item=" << i;
+              << family->name << " threads=" << threads << " item=" << i;
       }
     }
   }
@@ -111,22 +97,17 @@ TEST(MultiplyBatch, SeriesBatchBitIdenticalToSingleLoop) {
       plan_cache().get_or_build(dense, TasdConfig::parse("4:8+1:8")));
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(series.cols(), widths, rng);
-    for (const std::string& kernel :
-         GemmDispatch::instance().nm_batch_kernels()) {
-      ExecPolicy single;
-      single.nm_kernel = paired_single_kernel(kernel, false);
+    for (const KernelFamily* family : kernel_families()) {
       std::vector<MatrixF> expected;
-      for (const auto& b : bs) expected.push_back(series.multiply(b, single));
+      for (const auto& b : bs)
+        expected.push_back(series.multiply(b, {nullptr, family}));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
-        const auto cs = series.multiply_batch(bs, policy);
+        const auto cs = series.multiply_batch(bs, {&pool, family});
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
           EXPECT_TRUE(cs[i] == expected[i])
-              << kernel << " threads=" << threads << " item=" << i;
+              << family->name << " threads=" << threads << " item=" << i;
       }
     }
   }
@@ -206,22 +187,6 @@ TEST(MultiplyBatch, SeriesMultiplyBatchNamesOffendingItem) {
     EXPECT_NE(msg.find("item 2"), std::string::npos) << msg;
     EXPECT_NE(msg.find("9x3"), std::string::npos) << msg;
   }
-}
-
-TEST(MultiplyBatch, RegistryListsBatchBuiltinsAndDefaults) {
-  auto& dispatch = GemmDispatch::instance();
-  const auto dense_names = dispatch.dense_batch_kernels();
-  const auto nm_names = dispatch.nm_batch_kernels();
-  for (const auto& names : {dense_names, nm_names}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), "batch-packed"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "batch-loop"),
-              names.end());
-  }
-  EXPECT_EQ(dispatch.default_dense_batch(), "batch-packed");
-  EXPECT_EQ(dispatch.default_nm_batch(), "batch-packed");
-  EXPECT_THROW(dispatch.dense_batch("no-such-kernel"), Error);
-  EXPECT_THROW(dispatch.nm_batch("no-such-kernel"), Error);
 }
 
 }  // namespace

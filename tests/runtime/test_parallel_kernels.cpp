@@ -14,7 +14,7 @@
 #include "core/plan_cache.hpp"
 #include "core/tasd_gemm.hpp"
 #include "runtime/dense_gemm.hpp"
-#include "runtime/gemm_dispatch.hpp"
+#include "runtime/kernel_family.hpp"
 #include "runtime/nm_gemm.hpp"
 #include "tensor/gemm_ref.hpp"
 #include "tensor/generator.hpp"
@@ -37,27 +37,23 @@ const Shape kShapes[] = {
 const std::size_t kThreadCounts[] = {0, 1, 2, 3, 5, 8};
 
 TEST(ParallelKernels, DenseBitIdenticalAcrossThreadCounts) {
-  // Every registered dense kernel (scalar and SIMD alike) must match its
-  // own 1-thread run bitwise at every thread count.
-  for (const std::string& kernel : GemmDispatch::instance().dense_kernels()) {
+  // Every available family (scalar and SIMD alike) must match its own
+  // 1-thread run bitwise at every thread count.
+  for (const KernelFamily* family : kernel_families()) {
     for (const auto& s : kShapes) {
       Rng rng(100 + s.m + s.k + s.n);
       const MatrixF a = random_dense(s.m, s.k, Dist::kNormalStd1, rng);
       const MatrixF b = random_dense(s.k, s.n, Dist::kNormalStd1, rng);
 
       ThreadPool serial(1);
-      ExecPolicy serial_policy;
-      serial_policy.pool = &serial;
-      serial_policy.dense_kernel = kernel;
+      const ExecPolicy serial_policy{&serial, family};
       const MatrixF reference = dense_gemm(a, b, serial_policy);
 
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.dense_kernel = kernel;
+        const ExecPolicy policy{&pool, family};
         const MatrixF c = dense_gemm(a, b, policy);
-        EXPECT_TRUE(c == reference) << kernel << " " << s.m << "x" << s.k
+        EXPECT_TRUE(c == reference) << family->name << " " << s.m << "x" << s.k
                                     << "x" << s.n << " threads=" << threads;
       }
     }
@@ -65,7 +61,7 @@ TEST(ParallelKernels, DenseBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelKernels, NmBitIdenticalAcrossThreadCounts) {
-  for (const std::string& kernel : GemmDispatch::instance().nm_kernels()) {
+  for (const KernelFamily* family : kernel_families()) {
     for (const auto& s : kShapes) {
       Rng rng(200 + s.m + s.k + s.n);
       const MatrixF dense =
@@ -75,18 +71,14 @@ TEST(ParallelKernels, NmBitIdenticalAcrossThreadCounts) {
       const MatrixF b = random_dense(s.k, s.n, Dist::kNormalStd1, rng);
 
       ThreadPool serial(1);
-      ExecPolicy serial_policy;
-      serial_policy.pool = &serial;
-      serial_policy.nm_kernel = kernel;
+      const ExecPolicy serial_policy{&serial, family};
       const MatrixF reference = nm_gemm(a, b, serial_policy);
 
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_kernel = kernel;
+        const ExecPolicy policy{&pool, family};
         EXPECT_TRUE(nm_gemm(a, b, policy) == reference)
-            << kernel << " " << s.m << "x" << s.k << "x" << s.n
+            << family->name << " " << s.m << "x" << s.k << "x" << s.n
             << " threads=" << threads;
       }
     }
@@ -94,7 +86,7 @@ TEST(ParallelKernels, NmBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelKernels, TasdSeriesBitIdenticalAcrossThreadCounts) {
-  for (const std::string& kernel : GemmDispatch::instance().nm_kernels()) {
+  for (const KernelFamily* family : kernel_families()) {
     for (const auto& s : kShapes) {
       Rng rng(300 + s.m + s.k + s.n);
       const MatrixF dense =
@@ -104,18 +96,14 @@ TEST(ParallelKernels, TasdSeriesBitIdenticalAcrossThreadCounts) {
       const MatrixF b = random_dense(s.k, s.n, Dist::kNormalStd1, rng);
 
       ThreadPool serial(1);
-      ExecPolicy serial_policy;
-      serial_policy.pool = &serial;
-      serial_policy.nm_kernel = kernel;
+      const ExecPolicy serial_policy{&serial, family};
       const MatrixF reference = series.multiply(b, serial_policy);
 
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_kernel = kernel;
+        const ExecPolicy policy{&pool, family};
         EXPECT_TRUE(series.multiply(b, policy) == reference)
-            << kernel << " " << s.m << "x" << s.k << "x" << s.n
+            << family->name << " " << s.m << "x" << s.k << "x" << s.n
             << " threads=" << threads;
       }
     }
@@ -151,114 +139,81 @@ TEST(ParallelKernels, CoreTasdGemmMatchesSerialTermMajorLoop) {
   EXPECT_TRUE(tasd_gemm(d, b) == expected);
 }
 
-TEST(GemmDispatchRegistry, ListsBuiltinsAndDefaults) {
-  auto& dispatch = GemmDispatch::instance();
-  const auto dense = dispatch.dense_kernels();
-  EXPECT_NE(std::find(dense.begin(), dense.end(), "tiled-parallel"),
-            dense.end());
-  EXPECT_NE(std::find(dense.begin(), dense.end(), "tiled-serial"),
-            dense.end());
-  EXPECT_NE(std::find(dense.begin(), dense.end(), "reference"), dense.end());
-  const auto nm = dispatch.nm_kernels();
-  EXPECT_NE(std::find(nm.begin(), nm.end(), "row-parallel"), nm.end());
-  EXPECT_NE(std::find(nm.begin(), nm.end(), "serial"), nm.end());
-  EXPECT_EQ(dispatch.default_dense(), "tiled-parallel");
-  EXPECT_EQ(dispatch.default_nm(), "row-parallel");
-}
-
-TEST(GemmDispatchRegistry, SimdKernelsFollowRuntimeDetection) {
-  // Each SIMD family is registered exactly when the executing CPU/OS
-  // can run it (and its TASD_DISABLE_* flag is unset); best_*() walks
-  // the avx512 > avx2 > scalar chain over whatever registered. The
-  // avx2-only and scalar CI legs exercise the lower rungs on capable
-  // hardware via the disable flags.
-  auto& dispatch = GemmDispatch::instance();
-  const auto dense = dispatch.dense_kernels();
-  const auto nm = dispatch.nm_kernels();
-  const auto dense_batch = dispatch.dense_batch_kernels();
-  const auto nm_batch = dispatch.nm_batch_kernels();
-  const auto has = [&](const std::vector<std::string>& names,
-                       const char* name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
-  };
-  EXPECT_EQ(has(dense, "dense-avx2"), avx2_available());
-  EXPECT_EQ(has(nm, "nm-avx2"), avx2_available());
-  EXPECT_EQ(has(dense_batch, "dense-batch-avx2"), avx2_available());
-  EXPECT_EQ(has(nm_batch, "nm-batch-avx2"), avx2_available());
-  EXPECT_EQ(has(dense, "dense-avx512"), avx512_available());
-  EXPECT_EQ(has(nm, "nm-avx512"), avx512_available());
-  EXPECT_EQ(has(dense_batch, "dense-batch-avx512"), avx512_available());
-  EXPECT_EQ(has(nm_batch, "nm-batch-avx512"), avx512_available());
-  EXPECT_EQ(has(dense, "dense-gemv-avx512"), avx512_available());
-  EXPECT_EQ(has(nm, "nm-gemv-avx512"), avx512_available());
-  EXPECT_EQ(has(dense_batch, "dense-batch-gemv-avx512"), avx512_available());
-  EXPECT_EQ(has(nm_batch, "nm-batch-gemv-avx512"), avx512_available());
-  if (avx512_available()) {
-    EXPECT_EQ(dispatch.best_dense(), "dense-avx512");
-    EXPECT_EQ(dispatch.best_nm(), "nm-avx512");
-    EXPECT_EQ(dispatch.best_dense_batch(), "dense-batch-avx512");
-    EXPECT_EQ(dispatch.best_nm_batch(), "nm-batch-avx512");
-    // Decode widths (1..8 positions) head the chain with the GEMV family.
-    EXPECT_EQ(dispatch.best_dense(1), "dense-gemv-avx512");
-    EXPECT_EQ(dispatch.best_nm(8), "nm-gemv-avx512");
-    EXPECT_EQ(dispatch.best_dense_batch(1), "dense-batch-gemv-avx512");
-    EXPECT_EQ(dispatch.best_nm_batch(8), "nm-batch-gemv-avx512");
-    EXPECT_EQ(dispatch.best_nm(9), "nm-avx512");
-  } else if (avx2_available()) {
-    EXPECT_EQ(dispatch.best_dense(), "dense-avx2");
-    EXPECT_EQ(dispatch.best_nm(), "nm-avx2");
-    EXPECT_EQ(dispatch.best_dense_batch(), "dense-batch-avx2");
-    EXPECT_EQ(dispatch.best_nm_batch(), "nm-batch-avx2");
-  } else {
-    EXPECT_EQ(dispatch.best_dense(), dispatch.default_dense());
-    EXPECT_EQ(dispatch.best_nm(), dispatch.default_nm());
-    EXPECT_EQ(dispatch.best_dense_batch(), dispatch.default_dense_batch());
-    EXPECT_EQ(dispatch.best_nm_batch(), dispatch.default_nm_batch());
+TEST(KernelFamilies, ScalarFamilyIsFirstAndTheDefault) {
+  const auto& families = kernel_families();
+  ASSERT_FALSE(families.empty());
+  EXPECT_EQ(families.front(), &scalar_family());
+  EXPECT_STREQ(scalar_family().name, "scalar");
+  EXPECT_STREQ(scalar_family().rounding, "scalar");
+  // A default policy (null family) runs the scalar family.
+  EXPECT_EQ(&resolve_family({}), &scalar_family());
+  for (const KernelFamily* f : families) {
+    EXPECT_EQ(find_family(f->name), f) << f->name;
+    EXPECT_NE(f->dense, nullptr) << f->name;
+    EXPECT_NE(f->nm, nullptr) << f->name;
   }
-  // Defaults stay scalar either way: opting into SIMD is a per-artifact
-  // (CompileOptions "auto") or per-call (ExecPolicy) decision.
-  EXPECT_EQ(dispatch.default_dense(), "tiled-parallel");
-  EXPECT_EQ(dispatch.default_nm(), "row-parallel");
 }
 
-TEST(GemmDispatchRegistry, UnknownKernelThrows) {
-  EXPECT_THROW(GemmDispatch::instance().dense("no-such-kernel"), Error);
-  EXPECT_THROW(GemmDispatch::instance().nm("no-such-kernel"), Error);
-  Rng rng(606);
-  const MatrixF a = random_dense(4, 4, Dist::kNormalStd1, rng);
-  ExecPolicy policy;
-  policy.dense_kernel = "no-such-kernel";
-  EXPECT_THROW(dense_gemm(a, a, policy), Error);
+TEST(KernelFamilies, SimdFamiliesFollowRuntimeDetection) {
+  // Each SIMD family is listed exactly when the executing CPU/OS can run
+  // it (and its TASD_DISABLE_* flag is unset); best_family() walks the
+  // GEMV (widths 1..8) > avx512 > avx2 > scalar chain over whatever is
+  // listed. The avx2-only and scalar CI legs exercise the lower rungs
+  // on capable hardware via the disable flags.
+  EXPECT_EQ(find_family("avx2") != nullptr, avx2_available());
+  EXPECT_EQ(find_family("avx512") != nullptr, avx512_available());
+  EXPECT_EQ(find_family("gemv-avx512") != nullptr, avx512_available());
+  if (avx512_available()) {
+    EXPECT_STREQ(best_family().name, "avx512");
+    EXPECT_STREQ(best_family(1).name, "gemv-avx512");
+    EXPECT_STREQ(best_family(kGemvMaxWidth).name, "gemv-avx512");
+    EXPECT_STREQ(best_family(kGemvMaxWidth + 1).name, "avx512");
+    EXPECT_STREQ(find_family("gemv-avx512")->rounding, "gemv");
+    EXPECT_STREQ(find_family("avx512")->rounding, "fma");
+  } else if (avx2_available()) {
+    EXPECT_STREQ(best_family().name, "avx2");
+    EXPECT_STREQ(best_family(1).name, "avx2");
+    EXPECT_STREQ(find_family("avx2")->rounding, "fma");
+  } else {
+    EXPECT_EQ(&best_family(), &scalar_family());
+    EXPECT_EQ(&best_family(1), &scalar_family());
+  }
 }
 
-TEST(GemmDispatchRegistry, AllDenseKernelsAgree) {
+TEST(KernelFamilies, UnknownFamilyIsNotFound) {
+  EXPECT_EQ(find_family("no-such-family"), nullptr);
+  EXPECT_EQ(find_family(""), nullptr);
+  EXPECT_EQ(find_family("auto"), nullptr);
+}
+
+TEST(KernelFamilies, AllDenseEntriesAgree) {
   Rng rng(707);
   const MatrixF a = random_dense(13, 29, Dist::kNormalStd1, rng);
   const MatrixF b = random_dense(29, 17, Dist::kNormalStd1, rng);
   const MatrixF oracle = gemm_ref(a, b);
-  for (const auto& name : GemmDispatch::instance().dense_kernels()) {
-    ExecPolicy policy;
-    policy.dense_kernel = name;
-    EXPECT_TRUE(allclose(dense_gemm(a, b, policy), oracle, 1e-5, 1e-5))
-        << "kernel " << name;
+  for (const KernelFamily* family : kernel_families()) {
+    EXPECT_TRUE(allclose(dense_gemm(a, b, {nullptr, family}), oracle, 1e-5,
+                         1e-5))
+        << "family " << family->name;
   }
 }
 
-TEST(GemmDispatchRegistry, RegisteredKernelIsDispatchable) {
-  auto& dispatch = GemmDispatch::instance();
-  dispatch.register_dense("test-zero",
-                          [](const MatrixF&, const MatrixF&, MatrixF& c,
-                             ThreadPool&) {
-                            for (float& v : c.flat()) v = -1.0F;
-                          });
+/// A family defined outside the table: ExecPolicy takes any family.
+void fill_minus_one(const MatrixF&, std::span<const MatrixF>,
+                    std::span<MatrixF> cs, ThreadPool&) {
+  for (MatrixF& c : cs)
+    for (float& v : c.flat()) v = -1.0F;
+}
+
+TEST(KernelFamilies, AnyFamilyIsDispatchableThroughThePolicy) {
+  static const KernelFamily kTest{"test", "test", fill_minus_one,
+                                  scalar_family().nm};
   Rng rng(808);
   const MatrixF a = random_dense(3, 3, Dist::kNormalStd1, rng);
-  ExecPolicy policy;
-  policy.dense_kernel = "test-zero";
-  const MatrixF c = dense_gemm(a, a, policy);
+  const MatrixF c = dense_gemm(a, a, {nullptr, &kTest});
   for (float v : c.flat()) EXPECT_EQ(v, -1.0F);
-  // The default is untouched by registering a named kernel.
-  EXPECT_EQ(dispatch.default_dense(), "tiled-parallel");
+  // The table is untouched by using an outside family.
+  EXPECT_EQ(find_family("test"), nullptr);
 }
 
 }  // namespace
